@@ -7,9 +7,10 @@ cap the exact rank is certified without touching big integers.  Anything
 short of the cap is re-done with fraction-free Bareiss elimination over
 Python ints, which is exact for arbitrary entry sizes.
 
-The modular kernel is compiled with numba when available; setting the
-environment variable LIECLASS_NO_NUMBA selects the pure-numpy fallback
-(benchmarks/rank_bench.py compares the two).
+The modular kernel is compiled with numba when available; otherwise, or
+when the environment variable LIECLASS_NO_NUMBA is set, the vectorized
+numpy kernel runs (benchmarks/rank_bench.py times it on the oracle's
+matrices, and the numba kernel beside it when numba imports).
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ MOD_PRIME = 2147483629
 
 
 def _rank_modp_numpy(a, p=MOD_PRIME):
-    """Row reduction mod p with vectorized row updates."""
-    a = np.remainder(a, p).astype(np.int64, copy=True)
+    """Row reduction mod p with vectorized, fraction-free row updates:
+    row i becomes pivot * row_i - a[i, c] * row_r.  Scaling a row by the
+    nonzero pivot keeps the rank over GF(p), so no inverse is needed, and
+    both products stay below p^2 < 2^62."""
+    a = np.asarray(a, dtype=np.int64) % p
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -39,10 +43,9 @@ def _rank_modp_numpy(a, p=MOD_PRIME):
             continue
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        factors = a[r + 1 :, c].copy()
-        a[r + 1 :, c:] = (a[r + 1 :, c:] - factors[:, None] * a[r, c:]) % p
+        a[r + 1 :, c:] = (
+            a[r, c] * a[r + 1 :, c:] - a[r + 1 :, c, None] * a[r, c:]
+        ) % p
         r += 1
     return r
 

@@ -3,11 +3,13 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieclass import linalg
 from lieclass.rank import (
     MOD_PRIME,
+    _rank_modp_numpy,
     rank_capped,
     rank_exact,
     rank_modp,
@@ -62,6 +64,53 @@ class TestRank:
                 raise AssertionError(q)
             if q * q > MOD_PRIME:
                 break
+
+
+def _rank_modp_reference(rows, p=MOD_PRIME):
+    """Gauss-Jordan mod p over Python ints, pivots normalized by Fermat."""
+    m = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+class TestModpKernel:
+    """The fraction-free numpy kernel keeps every rank over GF(p)."""
+
+    @pytest.mark.parametrize("shape", [(34, 28), (112, 28), (6, 3), (3, 9)])
+    def test_low_rank_residue_matrices(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        rows, cols = shape
+        for rank in range(0, min(shape) + 1, max(1, min(shape) // 4)):
+            left = rng.integers(0, MOD_PRIME, size=(rows, rank))
+            right = rng.integers(0, MOD_PRIME, size=(rank, cols))
+            # product mod p with Python ints, then full-size residues
+            a = np.array(
+                [[sum(int(x) * int(y) for x, y in zip(lr, rc)) % MOD_PRIME
+                  for rc in right.T] for lr in left],
+                dtype=np.int64,
+            ).reshape(rows, cols)
+            a[rng.permutation(rows)[: rows // 3]] = 0
+            want = _rank_modp_reference(a.tolist())
+            assert _rank_modp_numpy(a) == want
+            assert rank_modp(a) == want
+
+    def test_input_is_not_modified(self):
+        a = np.array([[3, 5], [7, MOD_PRIME - 1]], dtype=np.int64)
+        before = a.copy()
+        _rank_modp_numpy(a)
+        assert np.array_equal(a, before)
 
 
 class TestNumbaFallback:
