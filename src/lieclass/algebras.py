@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import BadParameter, MismatchedSize
-from .rank import rank_capped
+from .rank import rank_capped, rank_exact
 
 
 class CatalogAlgebra:
@@ -35,26 +35,14 @@ class CatalogAlgebra:
         return len(self.borel_basis)
 
     def check_closed(self):
-        """Basis independent and closed under commutator (test hook)."""
-        vecs = [linalg.flatten(b) for b in self.basis]
-        if linalg.rank(vecs) != len(vecs):
-            return False
-        for i, a in enumerate(self.basis):
-            for b in self.basis[i + 1 :]:
-                c = linalg.commutator([list(r) for r in a], [list(r) for r in b])
-                if not linalg.in_span(vecs, linalg.flatten(c)):
-                    return False
-        bvecs = [linalg.flatten(b) for b in self.borel_basis]
-        if linalg.rank(bvecs) != len(bvecs):
-            return False
-        if any(not linalg.in_span(vecs, v) for v in bvecs):
-            return False
-        for i, a in enumerate(self.borel_basis):
-            for b in self.borel_basis[i + 1 :]:
-                c = linalg.commutator([list(r) for r in a], [list(r) for r in b])
-                if not linalg.in_span(bvecs, linalg.flatten(c)):
-                    return False
-        return True
+        """Basis and Borel basis independent and closed under commutator,
+        Borel inside the algebra (test hook)."""
+        both = [linalg.flatten(b) for b in self.basis + self.borel_basis]
+        return (
+            _closed(self.basis)
+            and _closed(self.borel_basis)
+            and rank_exact(both) == self.dim
+        )
 
     def __repr__(self):
         return "CatalogAlgebra(%s, n=%d, dim=%d)" % (
@@ -62,6 +50,20 @@ class CatalogAlgebra:
             self.n,
             self.dim,
         )
+
+
+def _closed(basis):
+    """The basis is independent and its span holds every commutator of two
+    basis elements."""
+    vecs = [linalg.flatten(b) for b in basis]
+    if rank_exact(vecs) != len(vecs):
+        return False
+    brackets = [
+        linalg.flatten(linalg.commutator(a, b))
+        for i, a in enumerate(basis)
+        for b in basis[i + 1 :]
+    ]
+    return rank_exact(vecs + brackets) == len(vecs)
 
 
 def _unit(n, i, j):

@@ -2,17 +2,14 @@
 
 Matrices are lists of lists (or tuples of tuples) of Fractions/ints.  Sizes
 here are tiny (ambient dimensions <= ~20), so plain Gaussian elimination
-with exact rationals is fine; big rank computations go through rank.py.
+with exact rationals is fine where an exact basis is needed (rref,
+nullspace); ranks go through rank.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-
-def mat(rows):
-    return [list(row) for row in rows]
 
 
 def zeros(r, c):
@@ -105,12 +102,6 @@ def rref(rows):
     return m, pivots
 
 
-def rank(rows):
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
-
-
 def nullspace(rows, ncols=None):
     """Basis of {x : A x = 0} over Q, one vector per free column."""
     if not rows:
@@ -131,15 +122,6 @@ def nullspace(rows, ncols=None):
             v[c] = -red[r][free]
         basis.append(v)
     return basis
-
-
-def span_dim(vectors):
-    return rank(list(vectors))
-
-
-def in_span(vectors, v):
-    base = list(vectors)
-    return rank(base) == rank(base + [v])
 
 
 def invert_unit_lower(l):

@@ -264,8 +264,7 @@ def _scan(target, residues, exact_rows, certificate, samples, seed):
     certificate(i) the point a Yes at sample i carries."""
     best_rank, best_index = -1, -1
     for idx in range(samples):
-        a = residues(idx)
-        rp = rank_modp(a) if a.size else 0
+        rp = rank_modp(residues(idx))
         if rp >= target:
             return OracleVerdict(
                 "Yes", target, target, samples, seed, certificate(idx)

@@ -1,34 +1,43 @@
-"""Integer matrix rank: exact Bareiss elimination plus a mod-p fast path.
+"""Integer matrix rank: a mod-p numpy kernel and exact Bareiss elimination.
 
-The oracle only ever needs ranks that are bounded above by a known cap (the
-dimension of the variety or module being probed).  Reduction mod a 31-bit
-prime can only lower the rank, so whenever the modular kernel reaches the
-cap the exact rank is certified without touching big integers.  Anything
-short of the cap is re-done with fraction-free Bareiss elimination over
-Python ints, which is exact for arbitrary entry sizes.
+Ranks over Q are computed here; only snmod's incremental exact basis and
+the cyclotomic ranks in quivers eliminate on their own.  The oracle needs
+ranks that are bounded above by a known cap (the dimension of the variety
+or module being probed).  Reduction mod a 31-bit prime can only lower the
+rank, so whenever the modular kernel reaches the cap the exact rank is
+certified without touching big integers.  Anything short of the cap is
+re-done with fraction-free Bareiss elimination over Python ints, which is
+exact for arbitrary entry sizes.
 
-The modular kernel is compiled with numba when available; otherwise, or
-when the environment variable LIECLASS_NO_NUMBA is set, the vectorized
-numpy kernel runs (benchmarks/rank_bench.py times it on the oracle's
-matrices, and the numba kernel beside it when numba imports).
+Entries must be integers (Python or numpy ints); they are read with
+operator.index, so a Fraction or float raises TypeError instead of being
+truncated.  Rational rows are cleared of denominators first
+(linalg.int_rows).
 """
 
 from __future__ import annotations
 
-import os
+from operator import index
 
 import numpy as np
 
 # Largest prime below 2^31 - 18; (P-1)^2 < 2^63 so products stay in int64.
 MOD_PRIME = 2147483629
 
+# The modular kernel is numpy only; perfbench/run.py records this value.
+HAS_NUMBA = False
 
-def _rank_modp_numpy(a, p=MOD_PRIME):
-    """Row reduction mod p with vectorized, fraction-free row updates:
-    row i becomes pivot * row_i - a[i, c] * row_r.  Scaling a row by the
-    nonzero pivot keeps the rank over GF(p), so no inverse is needed, and
-    both products stay below p^2 < 2^62."""
-    a = np.asarray(a, dtype=np.int64) % p
+
+def rank_modp(a, p=MOD_PRIME):
+    """Rank over GF(p) of an integer matrix (an array or nested lists).
+
+    Always a lower bound for the rank over Q of the integer matrix the
+    input reduces.  Row updates are vectorized and fraction-free: row i
+    becomes pivot * row_i - a[i, c] * row_r.  Scaling a row by the nonzero
+    pivot keeps the rank over GF(p), so no inverse is needed, and both
+    products stay below p^2 < 2^62.  The input is not modified.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -50,80 +59,9 @@ def _rank_modp_numpy(a, p=MOD_PRIME):
     return r
 
 
-if os.environ.get("LIECLASS_NO_NUMBA"):
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _rank_modp_jit(a, p):
-        rows, cols = a.shape
-        r = 0
-        for i in range(rows):
-            for j in range(cols):
-                a[i, j] = a[i, j] % p
-        for c in range(cols):
-            if r == rows:
-                break
-            piv = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(cols):
-                    tmp = a[r, j]
-                    a[r, j] = a[piv, j]
-                    a[piv, j] = tmp
-            # modular inverse by Fermat
-            inv = 1
-            base = a[r, c] % p
-            e = p - 2
-            while e > 0:
-                if e & 1:
-                    inv = (inv * base) % p
-                base = (base * base) % p
-                e >>= 1
-            for j in range(c, cols):
-                a[r, j] = (a[r, j] * inv) % p
-            for i in range(r + 1, rows):
-                f = a[i, c]
-                if f != 0:
-                    for j in range(c, cols):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            r += 1
-        return r
-
-    def _rank_modp_numba(a, p=MOD_PRIME):
-        return int(_rank_modp_jit(np.asarray(a, dtype=np.int64).copy(), p))
-
-
-def rank_modp(a, p=MOD_PRIME):
-    """Rank of an int64 numpy matrix over GF(p).
-
-    Always a lower bound for the rank over Q of the integer matrix the
-    input reduces.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    if HAS_NUMBA:
-        return _rank_modp_numba(a, p)
-    return _rank_modp_numpy(a, p)
-
-
 def rank_exact(rows):
-    """Rank over Q of a matrix with Python-int entries (fraction-free Bareiss)."""
-    m = [[int(x) for x in row] for row in rows]
+    """Rank over Q of a matrix with integer entries (fraction-free Bareiss)."""
+    m = [list(map(index, row)) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     if ncols == 0:
@@ -157,7 +95,9 @@ def rank_exact(rows):
 
 def reduce_mod(rows, p=MOD_PRIME):
     """Integer matrix (list of lists) -> int64 numpy array of residues."""
-    return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    return np.array(
+        [[x % p for x in map(index, row)] for row in rows], dtype=np.int64
+    )
 
 
 def rank_capped(rows, cap):

@@ -18,6 +18,7 @@ from math import factorial
 
 from . import linalg
 from .errors import BadParameter, RankTooLarge, RelationViolation
+from .rank import rank_exact
 
 _DECOMPOSE_CAP = 8
 _RING_CAP = 6
@@ -293,7 +294,7 @@ def lsn_check(r: SnRep) -> LsnResult:
     vectors = []
     for i in range(1, r.n):
         vectors.extend(_fixed_space(r, i))
-    span = linalg.rank(vectors) if vectors else 0
+    span = rank_exact(linalg.int_rows(vectors))
     if span != r.dim:
         return LsnResult("HypothesisFails")
     dec = decompose(r)

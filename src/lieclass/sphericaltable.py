@@ -21,12 +21,14 @@ from . import linalg
 from .algebras import (
     CatalogAlgebra,
     ModuleSpec,
+    _factor_refs,
     normalizer_dim,
     representation,
     scalar_on_summands,
     summand_scalars,
 )
 from .errors import UnrecognizedShape
+from .rank import rank_exact
 
 # Verbatim table data: (id, pair description, centers, constraints).
 TABLE_ENTRIES = [
@@ -488,14 +490,14 @@ def is_spherical_module_by_table(
             if f.meta["type"] == "gl":
                 # the gl center acts as a scalar on each summand it touches
                 weights = [
-                    1 if f_index in _spec_refs(s) else 0
+                    1 if f_index in _factor_refs(s) else 0
                     for s in spec.summands
                 ]
                 extra.append(scalar_on_summands(spec, sizes, weights))
         if with_scalar:
             extra.append(linalg.identity(rep.n))
     span = [list(map(list, m)) for m in rep.basis] + extra
-    dim_u = linalg.rank([linalg.flatten(m) for m in span])
+    dim_u = rank_exact([linalg.flatten(m) for m in span])
     ok = normalizer_dim(span, (), rep.n) == dim_u
     return TableVerdict(
         ok,
@@ -503,11 +505,3 @@ def is_spherical_module_by_table(
         "" if ok else "normalizer strictly larger",
         center_ops=extra,
     )
-
-
-def _spec_refs(summand):
-    if summand[0] == "trivial":
-        return ()
-    if summand[0] == "tensor":
-        return (summand[1][0], summand[2][0])
-    return (summand[1],)

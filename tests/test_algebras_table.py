@@ -13,6 +13,7 @@ from lieclass.algebras import (
 )
 from lieclass.errors import BadParameter, UnrecognizedShape
 from lieclass.oracle import is_spherical_module
+from lieclass.rank import rank_exact
 from lieclass.sphericaltable import (
     decompose_blocks,
     is_spherical_module_by_table,
@@ -29,6 +30,19 @@ class TestMakeAlgebra:
     def test_closed_under_bracket(self):
         for tag, n in (("gl", 3), ("sl", 3), ("so", 4), ("sp", 4)):
             assert make_algebra(tag, n).check_closed()
+
+    def test_not_closed(self):
+        e01, e10 = ((0, 1), (0, 0)), ((0, 0), (1, 0))
+        h, d = ((1, 0), (0, -1)), ((1, 0), (0, 0))
+        meta = {"type": "test"}
+        # [E01, E10] = H is missing from the span
+        assert not CatalogAlgebra([e01, e10], [e01], 2, meta).check_closed()
+        # a Borel of gl2 is not inside sl2
+        sl2 = [h, e01, e10]
+        assert not CatalogAlgebra(sl2, [d, e01], 2, meta).check_closed()
+        # H listed twice
+        assert not CatalogAlgebra(sl2 + [h], [h, e01], 2, meta).check_closed()
+        assert CatalogAlgebra(sl2, [h, e01], 2, meta).check_closed()
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
@@ -73,7 +87,7 @@ class TestRepresentation:
         spec = ModuleSpec([("natural", 0), ("trivial",)])
         ops = summand_scalars(spec, [3])
         assert len(ops) == 2
-        assert linalg.rank([linalg.flatten(m) for m in ops]) == 2
+        assert rank_exact([linalg.flatten(m) for m in ops]) == 2
 
 
 def table(fstr, summands, centers="entries", with_scalar=True):

@@ -136,6 +136,11 @@ class TestModuleOracle:
         )
         assert v.kind == "ProbablyNo"
 
+    def test_trivial_module_without_scalar_has_no_rows(self):
+        v = is_spherical_module([make_algebra("sl", 2)],
+                                ModuleSpec([("trivial",)]), with_scalar=False)
+        assert v.kind == "ProbablyNo" and (v.rank, v.target) == (0, 1)
+
     def test_sample_count_validated(self):
         with pytest.raises(BadSampleCount):
             is_spherical_module([make_algebra("sl", 3)],
