@@ -106,7 +106,7 @@ def _form_algebra(n, form, upper_only=False):
                 row[a * n + b] = 1
                 rows.append(row)
     basis = []
-    for v in linalg.int_rows(linalg.nullspace(rows)):
+    for v in linalg.nullspace(rows):
         basis.append([v[i * n : (i + 1) * n] for i in range(n)])
     return basis
 
@@ -404,46 +404,36 @@ def scalar_on_summands(spec: ModuleSpec, factor_sizes, weights):
 # --- normalizer ----------------------------------------------------------
 
 
-def _normalizer_rows(span_basis, n):
-    """Integer constraint rows whose nullspace is {x : [x, span] <= span}."""
-    vecs = [linalg.flatten(s) for s in span_basis]
-    ann = linalg.int_rows(linalg.nullspace(vecs)) if vecs else []
+def _normalizer_system(mats, n):
+    """Linear system for the normalizer of U = span(mats) in gl_n.
+
+    Returns (ann, rows): ann is an integer basis of the annihilator of U
+    (n^2 - dim U functionals), and x normalizes U exactly when
+    f([x, s]) = 0 for every generator s and every f in ann, one row per
+    pair.  Every generator contributes rows, not only a basis of U: the rows
+    of a dependent generator are combinations of rows already present, so
+    the row space, and with it the normalizer, is the same."""
+    ann = linalg.nullspace([linalg.flatten(m) for m in mats], n * n)
     rows = []
-    for s in span_basis:
+    for s in mats:
         st = [[s[j][i] for j in range(n)] for i in range(n)]
         for f in ann:
             fm = [f[i * n : (i + 1) * n] for i in range(n)]
             c = linalg.matmul(fm, st)
             d = linalg.matmul(st, fm)
             rows.append([c[i][j] - d[i][j] for i in range(n) for j in range(n)])
-    return rows
-
-
-def _span_basis(matrices):
-    """Reduce a list of matrices to an independent integer basis of its span."""
-    if not matrices:
-        return []
-    red, pivots = linalg.rref([linalg.flatten(m) for m in matrices])
-    n = len(matrices[0])
-    out = []
-    for r in range(len(pivots)):
-        v = linalg.scale_row_to_int(red[r])
-        out.append([v[i * n : (i + 1) * n] for i in range(n)])
-    return out
+    return ann, rows
 
 
 def normalizer_in_gl(k: CatalogAlgebra, extra_center=()) -> CatalogAlgebra:
-    """Normalizer of span(k.basis + extra_center) in gl_n, exact basis."""
+    """Normalizer of span(k.basis + extra_center) in gl_n; its basis is the
+    primitive integer nullspace basis of the normalizer system."""
     n = k.n
     for m in extra_center:
         if len(m) != n:
             raise MismatchedSize("extra center operator of wrong size")
-    span = _span_basis(list(k.basis) + [list(map(list, m)) for m in extra_center])
-    rows = _normalizer_rows(span, n)
-    if not rows:
-        sol = linalg.identity(n * n)
-    else:
-        sol = linalg.int_rows(linalg.nullspace(rows))
+    _, rows = _normalizer_system(list(k.basis) + list(extra_center), n)
+    sol = linalg.nullspace(rows, n * n)
     basis = [[v[i * n : (i + 1) * n] for i in range(n)] for v in sol]
     meta = {"type": "normalizer", "rank": None, "factors": k.meta.get("factors")}
     return CatalogAlgebra(basis, [], n, meta)
@@ -452,18 +442,13 @@ def normalizer_in_gl(k: CatalogAlgebra, extra_center=()) -> CatalogAlgebra:
 def normalizer_dim(k_basis, extra_center=(), n=None):
     """dim of the normalizer of span(k_basis + extra_center) in gl_n.
 
-    Uses the capped-rank fast path: the normalizer always contains the span,
-    so its dimension is certified as soon as the modular kernel confirms it.
+    The normalizer contains the span, so the system has rank at most
+    n^2 - dim span = len(ann); the capped-rank fast path certifies that
+    rank with the modular kernel alone, and exact Bareiss runs only when
+    the normalizer is strictly larger than the span.
     """
-    mats = [list(map(list, m)) for m in k_basis] + [
-        list(map(list, m)) for m in extra_center
-    ]
-    if not mats:
-        return n * n
-    n = len(mats[0])
-    span = _span_basis(mats)
-    rows = _normalizer_rows(span, n)
-    if not rows:
-        return n * n
-    cap = n * n - len(span)
-    return n * n - rank_capped(rows, cap)
+    mats = list(k_basis) + list(extra_center)
+    if mats:
+        n = len(mats[0])
+    ann, rows = _normalizer_system(mats, n)
+    return n * n - rank_capped(rows, len(ann))

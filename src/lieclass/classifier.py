@@ -210,22 +210,23 @@ def _match(cases, factors, trivial, steps, n, prefix=""):
     return None
 
 
-def _projective_spec(datum: ClassificationDatum):
-    algs = [make_algebra(tag, size) for tag, size in datum.factors]
+def _projective_verdict(d: ClassificationDatum) -> ClassificationVerdict:
+    """A flag equivalent to P(V): the module table on the natural summands
+    plus trivial ones, with every per-summand scalar adjoined."""
+    algs = [make_algebra(tag, size) for tag, size in d.factors]
     summands = [("natural", i) for i in range(len(algs))]
-    summands += [("trivial",)] * datum.trivial
-    return algs, ModuleSpec(summands)
+    summands += [("trivial",)] * d.trivial
+    spec = ModuleSpec(summands)
+    if is_spherical_module_by_table(algs, spec, centers="summands"):
+        return ClassificationVerdict(True, "P(V)")
+    return ClassificationVerdict(False, reason="P(V) module test failed")
 
 
 def classify_flag_datum(d: ClassificationDatum) -> ClassificationVerdict:
     n = d.ambient
     steps = _steps(d.dims, n)
     if steps == Counter({1: 2} if n == 2 else {1: 1, n - 1: 1}):
-        algs, spec = _projective_spec(d)
-        verdict = is_spherical_module_by_table(algs, spec, centers="summands")
-        if verdict:
-            return ClassificationVerdict(True, "P(V)")
-        return ClassificationVerdict(False, reason="P(V) module test failed")
+        return _projective_verdict(d)
     factors, trivial = _canon_factors(d.factors, d.trivial)
     if len(list(steps.elements())) == 2:
         hit = _match(_GR_CASES, factors, trivial, steps, n, prefix="I-")
@@ -239,11 +240,7 @@ def classify_flag_datum(d: ClassificationDatum) -> ClassificationVerdict:
 def classify_grassmannian(r, d: ClassificationDatum) -> ClassificationVerdict:
     n = d.ambient
     if r == 1:
-        algs, spec = _projective_spec(d)
-        verdict = is_spherical_module_by_table(algs, spec, centers="summands")
-        if verdict:
-            return ClassificationVerdict(True, "P(V)")
-        return ClassificationVerdict(False, reason="P(V) module test failed")
+        return _projective_verdict(d)
     if not 2 <= r <= n // 2:
         raise BadParameter("need 2 <= r <= n/2")
     factors, trivial = _canon_factors(d.factors, d.trivial)

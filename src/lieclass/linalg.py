@@ -1,15 +1,17 @@
-"""Small exact linear-algebra helpers over Fraction entries.
+"""Small exact linear algebra over the integers.
 
-Matrices are lists of lists (or tuples of tuples) of Fractions/ints.  Sizes
-here are tiny (ambient dimensions <= ~20), so plain Gaussian elimination
-with exact rationals is fine where an exact basis is needed (rref,
-nullspace); ranks go through rank.py.
+Matrices are lists of lists (or tuples of tuples) of ints.  Exact bases
+(rref, nullspace) come from fraction-free Gauss-Jordan elimination: rows
+are kept as primitive integer rows, so no Fraction arithmetic is done;
+rational input rows are cleared of denominators once, on entry.  Ranks go
+through rank.py.  Sizes are modest: the largest systems, the table
+normalizers, have a few thousand rows over at most a few hundred columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def zeros(r, c):
@@ -55,27 +57,22 @@ def flatten(a):
     return [x for row in a for x in row]
 
 
-def scale_row_to_int(row):
-    """Clear denominators and divide by the gcd; [] stays []."""
-    from math import gcd
-
-    den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-    ints = [int(Fraction(x) * den) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
-
-
-def int_rows(rows):
-    return [scale_row_to_int(row) for row in rows]
+def primitive(row):
+    """The primitive integer row on the ray of a rational row: denominators
+    cleared, then divided by the (positive) gcd of the entries.  A zero row
+    stays zero."""
+    den = lcm(*(Fraction(x).denominator for x in row if type(x) is not int))
+    ints = [x * den if type(x) is int else int(Fraction(x) * den) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def rref(rows):
-    """Reduced row echelon form over Q.  Returns (matrix, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form over Q, fraction-free.  Returns (matrix,
+    pivot columns): the r-th row for r < len(pivots) is the primitive
+    integer row with a positive entry in column pivots[r] and zeros in the
+    other pivot columns; the remaining rows are zero."""
+    m = [primitive(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -83,44 +80,44 @@ def rref(rows):
     for c in range(ncols):
         if r == nrows:
             break
-        piv = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if m[i][c]), -1)
         if piv < 0:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        row_r = m[r]
+        if row_r[c] < 0:
+            row_r = m[r] = [-x for x in row_r]
+        p = row_r[c]
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                m[i] = primitive([p * a - f * b for a, b in zip(m[i], row_r)])
         pivots.append(c)
         r += 1
     return m, pivots
 
 
 def nullspace(rows, ncols=None):
-    """Basis of {x : A x = 0} over Q, one vector per free column."""
+    """Basis of {x : A x = 0} over Q, one primitive integer vector per free
+    column, with a positive entry there (the unique such vector on its
+    ray); ncols is needed only when rows is empty."""
     if not rows:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols or 0)
-        ]
+        return [[int(j == i) for j in range(ncols)] for i in range(ncols or 0)]
     ncols = len(rows[0])
     red, pivots = rref(rows)
+    # pivot row r reads p_r x_c = -sum red[r][free] x_free; scale x_free to
+    # the lcm of the pivots so that every x_c is an integer
+    den = lcm(*(red[r][c] for r, c in enumerate(pivots)))
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivset:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+        v = [0] * ncols
+        v[free] = den
         for r, c in enumerate(pivots):
-            v[c] = -red[r][free]
-        basis.append(v)
+            v[c] = -red[r][free] * den // red[r][c]
+        basis.append(primitive(v))
     return basis
 
 

@@ -29,6 +29,7 @@ in the cyclotomic field of the denominator of r.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .cyclotomic import CyclotomicField
 from .errors import BadParameter, ShapeMismatch, TooLarge
@@ -115,24 +116,6 @@ def _feq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _finvertible(a):
-    """Gaussian elimination over the field; square input."""
-    n = len(a)
-    m = [row[:] for row in a]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[col])]
-    return True
-
-
 class QuiverRep:
     """dims[i] per vertex; p[i]: vertex i+1 -> i, q[i]: vertex i -> i+1.
 
@@ -199,11 +182,9 @@ class QuiverRep:
 
 def check_relations(r: QuiverRep) -> bool:
     n = r.spec.n
-    for i in range(1, n + 1):
-        if not _finvertible(r.xi(i)):
-            return False
-    for i in range(n):
-        if not _finvertible(r.nu(i)):
+    # every xi and nu must be invertible: square, so of full rank
+    for m in chain((r.xi(i) for i in range(1, n + 1)), (r.nu(i) for i in range(n))):
+        if _frank(m) != len(m):
             return False
     if r.spec.kind == "A":
         return all(_feq(r.xi(i), r.nu(i)) for i in range(1, n))

@@ -1,18 +1,18 @@
 """Integer matrix rank: a mod-p numpy kernel and exact Bareiss elimination.
 
-Ranks over Q are computed here; only snmod's incremental exact basis and
-the cyclotomic ranks in quivers eliminate on their own.  The oracle needs
-ranks that are bounded above by a known cap (the dimension of the variety
-or module being probed).  Reduction mod a 31-bit prime can only lower the
-rank, so whenever the modular kernel reaches the cap the exact rank is
-certified without touching big integers.  Anything short of the cap is
-re-done with fraction-free Bareiss elimination over Python ints, which is
-exact for arbitrary entry sizes.
+Ranks over Q are computed here; exact bases (linalg.rref/nullspace and
+snmod's incremental span) and the cyclotomic ranks in quivers eliminate on
+their own.  The oracle needs ranks that are bounded above by a known cap
+(the dimension of the variety or module being probed).  Reduction mod a
+31-bit prime can only lower the rank, so whenever the modular kernel
+reaches the cap the exact rank is certified without touching big integers.
+Anything short of the cap is re-done with fraction-free Bareiss elimination
+over Python ints, which is exact for arbitrary entry sizes.
 
 Entries must be integers (Python or numpy ints); they are read with
-operator.index, so a Fraction or float raises TypeError instead of being
-truncated.  Rational rows are cleared of denominators first
-(linalg.int_rows).
+operator.index, and rank_modp accepts only integer dtypes, so a Fraction
+or float raises TypeError instead of being truncated.  Rational rows are
+cleared of denominators first (linalg.primitive).
 """
 
 from __future__ import annotations
@@ -35,9 +35,16 @@ def rank_modp(a, p=MOD_PRIME):
     input reduces.  Row updates are vectorized and fraction-free: row i
     becomes pivot * row_i - a[i, c] * row_r.  Scaling a row by the nonzero
     pivot keeps the rank over GF(p), so no inverse is needed, and both
-    products stay below p^2 < 2^62.  The input is not modified.
+    products stay below p^2 < 2^62.  The input is not modified.  Entries
+    of a non-integer dtype (floats, Fractions in an object array) raise
+    TypeError; empty input of any dtype has rank 0.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p
+    a = np.asarray(a)
+    if a.size == 0:
+        return 0
+    if not np.issubdtype(a.dtype, np.integer):
+        raise TypeError("rank_modp needs integer entries, not %s" % a.dtype)
+    a = np.atleast_2d(a.astype(np.int64, copy=False)) % p
     rows, cols = a.shape
     r = 0
     for c in range(cols):

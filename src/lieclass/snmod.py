@@ -5,9 +5,12 @@ ring with its coarse generation check.
 Characters come from the Murnaghan-Nakayama rule in the beta-number
 formulation (removing a rim hook of length k replaces a first-column hook
 length b by b - k), so no tables are shipped.  Representations are given by
-the matrices of the adjacent transpositions s_1, ..., s_{n-1}; the Coxeter
-relations are verified on construction and everything downstream works over
-exact rationals.
+the matrices of the adjacent transpositions s_1, ..., s_{n-1}, with exact
+rational entries; the Coxeter relations are verified on construction.
+Characters and multiplicities are exact rationals.  Fixed spaces and the
+group-ring span are found by fraction-free integer elimination
+(linalg.nullspace and an incremental Gauss-Jordan on primitive integer
+rows), so no basis is carried in Fractions.
 """
 
 from __future__ import annotations
@@ -294,7 +297,7 @@ def lsn_check(r: SnRep) -> LsnResult:
     vectors = []
     for i in range(1, r.n):
         vectors.extend(_fixed_space(r, i))
-    span = rank_exact(linalg.int_rows(vectors))
+    span = rank_exact(vectors)
     if span != r.dim:
         return LsnResult("HypothesisFails")
     dec = decompose(r)
@@ -395,24 +398,26 @@ def pf_generators_span(n) -> bool:
     gens = [
         GroupAlgebraElement.transposition_plus_one(n, i) for i in range(1, n)
     ]
-    # incremental Gauss-Jordan: pivot rows stay reduced against each other,
-    # so membership of a new row is a single elimination pass
+    # incremental fraction-free Gauss-Jordan: pivot rows are primitive
+    # integer rows, zero in every other pivot column, so membership of a new
+    # row is a single elimination pass
     pivot_rows = {}
 
     def absorb(row):
-        v = [Fraction(x) for x in row]
+        v = linalg.primitive(row)
         for col, prow in pivot_rows.items():
-            if v[col]:
-                c = v[col]
-                v = [a - c * b for a, b in zip(v, prow)]
-        for col, x in enumerate(v):
-            if x:
-                v = [a / x for a in v]
-                for prow in pivot_rows.values():
-                    if prow[col]:
-                        c = prow[col]
-                        for j in range(target):
-                            prow[j] -= c * v[j]
+            f = v[col]
+            if f:
+                p = prow[col]
+                v = linalg.primitive([p * a - f * b for a, b in zip(v, prow)])
+        for col, p in enumerate(v):
+            if p:
+                for pcol, prow in pivot_rows.items():
+                    f = prow[col]
+                    if f:
+                        pivot_rows[pcol] = linalg.primitive(
+                            [p * a - f * b for a, b in zip(prow, v)]
+                        )
                 pivot_rows[col] = v
                 return True
         return False

@@ -196,14 +196,6 @@ def _canonical_summands(spec: ModuleSpec, factor_pairs):
     return out
 
 
-def _refs(summand):
-    if summand[0] == "trivial":
-        return ()
-    if summand[0] == "tensor":
-        return (summand[1][0], summand[2][0])
-    return (summand[1],)
-
-
 def decompose_blocks(factors, spec: ModuleSpec):
     """Split (factors, module) into weakly irreducible blocks."""
     pairs = [_canonical_factor(f.meta["type"], f.n) for f in factors]
@@ -219,7 +211,7 @@ def decompose_blocks(factors, spec: ModuleSpec):
 
     by_factor = {}
     for pos, s in enumerate(summands):
-        for f in _refs(s):
+        for f in _factor_refs(s):
             if f in by_factor:
                 ra, rb = find(by_factor[f]), find(pos)
                 parent[ra] = rb
@@ -230,7 +222,7 @@ def decompose_blocks(factors, spec: ModuleSpec):
         groups.setdefault(find(pos), []).append(pos)
     blocks = []
     for poss in groups.values():
-        facs = sorted({f for p in poss for f in _refs(summands[p])})
+        facs = sorted({f for p in poss for f in _factor_refs(summands[p])})
         local = {f: i for i, f in enumerate(facs)}
 
         def relabel(s):

@@ -64,6 +64,31 @@ class TestMakeAlgebra:
         so3 = make_algebra("so", 3).basis
         assert normalizer_dim(so3) == 4  # so_3 plus scalars
 
+    @pytest.mark.parametrize(
+        "factors, summands, dim",
+        [
+            ([("so", 4)], [("natural", 0)], 7),
+            ([("sp", 4)], [("natural", 0)], 11),
+            # sl_3 on two copies of C^3: gl_2 on the multiplicities adds 4
+            ([("sl", 3)], [("natural", 0), ("natural", 0)], 12),
+        ],
+    )
+    def test_normalizer_ignores_dependent_generators(self, factors, summands, dim):
+        """A repeated generator, a multiple of one and a repeated scalar only
+        add rows already in the span of the others."""
+        rep = representation(
+            [make_algebra(*f) for f in factors], ModuleSpec(summands)
+        )
+        basis = [list(map(list, m)) for m in rep.basis]
+        ident = linalg.identity(rep.n)
+        doubled = [[2 * x for x in row] for row in basis[0]]
+        assert normalizer_dim(basis) == dim
+        assert normalizer_dim(basis + basis[:2] + [doubled]) == dim
+        assert normalizer_dim(basis, [ident]) == normalizer_dim(basis, [ident, ident])
+        norm = normalizer_in_gl(rep)
+        assert norm.dim == dim
+        assert normalizer_in_gl(rep, [doubled, ident]).basis == norm.basis
+
 
 class TestRepresentation:
     def test_natural_plus_dual(self):

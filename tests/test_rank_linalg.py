@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -69,6 +70,31 @@ class TestRank:
             with pytest.raises(TypeError):
                 fn(rows)
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[0.5, 0]],
+            np.array([[1.0, 2.0], [2.0, 4.0]]),
+            np.array([[Fraction(1, 2), 0]], dtype=object),
+            np.array([[Fraction(2), 1]], dtype=object),
+        ],
+    )
+    def test_modp_rejects_non_integer_dtypes(self, a):
+        with pytest.raises(TypeError):
+            rank_modp(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [[], [[]], np.zeros((0, 3)), np.zeros((2, 0), dtype=object)],
+    )
+    def test_modp_empty_input_has_rank_zero(self, a):
+        assert rank_modp(a) == 0
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64])
+    def test_modp_integer_dtypes(self, dtype):
+        assert rank_modp(np.array([[1, 2], [2, 4], [0, 3]], dtype=dtype)) == 2
+        assert rank_modp([[1, 2], [2, 4]]) == 1
+
     def test_prime_is_prime(self):
         for q in range(2, 50000):
             if MOD_PRIME % q == 0:
@@ -120,6 +146,114 @@ class TestModpKernel:
         before = a.copy()
         rank_modp(a)
         assert np.array_equal(a, before)
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan over Q in Fractions, each pivot scaled to 1."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _reference_int_row(row):
+    """Clear a rational row's denominators, then divide by the gcd."""
+    den = lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(Fraction(x) * den) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _reference_nullspace(rows, ncols=None):
+    """The Fraction pipeline: one vector per free column with a 1 there and
+    minus the reduced pivot rows' entries elsewhere, cleared to integers."""
+    if not rows:
+        return [[int(j == i) for j in range(ncols)] for i in range(ncols)]
+    ncols = len(rows[0])
+    red, pivots = _reference_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][free]
+        basis.append(_reference_int_row(v))
+    return basis
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A product of an r x k and a k x c matrix, k <= min(r, c), with int or
+    Fraction entries: rank-deficient more often than not."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    entry = draw(
+        st.sampled_from(
+            [
+                st.integers(-9, 9),
+                st.fractions(min_value=-5, max_value=5, max_denominator=6),
+            ]
+        )
+    )
+
+    def matrix(r, c):
+        return st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)
+
+    left, right = draw(matrix(nrows, k)), draw(matrix(k, ncols))
+    return [
+        [sum((left[i][t] * right[t][j] for t in range(k)), 0) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+class TestExactBasis:
+    """Fraction-free rref/nullspace give the Fraction pipeline's integer
+    bases bit for bit."""
+
+    @given(low_rank_matrices())
+    @settings(max_examples=300)
+    def test_nullspace_matches_fraction_pipeline(self, rows):
+        basis = linalg.nullspace(rows)
+        assert basis == _reference_nullspace(rows)
+        assert all(type(x) is int for v in basis for x in v)
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+    @given(low_rank_matrices())
+    @settings(max_examples=200)
+    def test_rref_rows_are_primitive_reduced_rows(self, rows):
+        red, pivots = linalg.rref(rows)
+        ref, ref_pivots = _reference_rref(rows)
+        assert pivots == ref_pivots
+        for r in range(len(pivots)):
+            assert red[r] == _reference_int_row(ref[r])
+        assert all(not any(row) for row in red[len(pivots) :])
+
+    @pytest.mark.parametrize("ncols", [0, 1, 4])
+    def test_empty_rows(self, ncols):
+        basis = linalg.nullspace([], ncols)
+        assert basis == _reference_nullspace([], ncols) == linalg.identity(ncols)
+        assert all(type(x) is int for v in basis for x in v)
+
+    def test_primitive(self):
+        assert linalg.primitive([Fraction(1, 2), Fraction(-1, 3), 0]) == [3, -2, 0]
+        assert linalg.primitive([4, -6, 0]) == [2, -3, 0]
+        assert linalg.primitive([0, 0]) == [0, 0]
+        assert linalg.primitive([]) == []
 
 
 class TestLinalg:

@@ -169,6 +169,24 @@ class TestGroupAlgebra:
         assert pf_generators_span(3)
         assert pf_generators_span(4)
 
+    def test_span_multiplication_counts(self, monkeypatch):
+        """Every accepted product joins the frontier, so the number of
+        products formed before the span reaches n! pins the sequence of
+        accept/reject decisions of the incremental elimination."""
+        from lieclass import snmod
+
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return pf_ring_multiply(a, b)
+
+        monkeypatch.setattr(snmod, "pf_ring_multiply", counting)
+        for n, count in ((2, 1), (3, 10), (4, 69), (5, 476)):
+            calls.clear()
+            assert pf_generators_span(n)
+            assert len(calls) == count, n
+
     def test_span_cap(self):
         with pytest.raises(RankTooLarge):
             pf_generators_span(6)
