@@ -33,10 +33,6 @@ class UnsupportedShape(LieclassError):
     """A classification datum uses factor types outside sl/so/sp."""
 
 
-class RankTooLarge(LieclassError):
-    """Rank exceeds the configured search bound."""
-
-
 class NotSemiDecreasing(LieclassError):
     """Monodromy is only defined for semi-decreasing tuples."""
 
@@ -59,7 +55,7 @@ class ShapeMismatch(LieclassError):
 
 
 class TooLarge(LieclassError):
-    """Input exceeds a hard search bound."""
+    """Input exceeds a hard search bound (a rank, size or coefficient cap)."""
 
 
 class RelationViolation(LieclassError):

@@ -1,11 +1,13 @@
 """Small exact linear algebra over the integers.
 
-Matrices are lists of lists (or tuples of tuples) of ints.  Exact bases
-(rref, nullspace) come from fraction-free Gauss-Jordan elimination: rows
-are kept as primitive integer rows, so no Fraction arithmetic is done;
-rational input rows are cleared of denominators once, on entry.  Ranks go
-through rank.py.  Sizes are modest: the largest systems, the table
-normalizers, have a few thousand rows over at most a few hundred columns.
+Matrices are lists of lists (or tuples of tuples) of ints.  The one exact
+elimination for bases is Echelon, an incremental fraction-free
+Gauss-Jordan on primitive integer rows: rref absorbs every row and
+nullspace reads its vectors off rref, and snmod's group-ring span absorbs
+products one at a time.  No Fraction arithmetic is done; rational input
+rows are cleared of denominators once, on entry.  Ranks go through
+rank.py.  Sizes are modest: the largest systems, the table normalizers,
+have a few thousand rows over at most a few hundred columns.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ def matmul(a, b):
                     oi[j] += x * bt[j]
     return out
 
-def matvec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
-
 
 def commutator(a, b):
     ab = matmul(a, b)
@@ -67,34 +66,60 @@ def primitive(row):
     return [x // g for x in ints] if g > 1 else ints
 
 
+class Echelon:
+    """Incremental fraction-free Gauss-Jordan over Q.
+
+    ``rows`` maps each pivot column to one primitive integer row that is
+    positive there and zero in every other pivot column.  A pivot row's
+    leading entry never moves: a new row is reduced against the pivot rows,
+    and if anything is left its leading column becomes a new pivot, cleared
+    from the older rows (only rows whose pivot lies to its left have an
+    entry there).  So after any sequence of absorbs the rows are the unique
+    primitive reduced echelon basis, with positive pivots, of the span."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def absorb(self, row):
+        """Add a rational row to the span; True iff it was not already in it."""
+        v = primitive(row)
+        for col, prow in self.rows.items():
+            f = v[col]
+            if f:
+                p = prow[col]
+                v = primitive([p * a - f * b for a, b in zip(v, prow)])
+        col = next((c for c, x in enumerate(v) if x), -1)
+        if col < 0:
+            return False
+        if v[col] < 0:
+            v = [-x for x in v]
+        p = v[col]
+        for pcol, prow in self.rows.items():
+            f = prow[col]
+            if f:
+                self.rows[pcol] = primitive([p * a - f * b for a, b in zip(prow, v)])
+        self.rows[col] = v
+        return True
+
+
 def rref(rows):
     """Reduced row echelon form over Q, fraction-free.  Returns (matrix,
     pivot columns): the r-th row for r < len(pivots) is the primitive
     integer row with a positive entry in column pivots[r] and zeros in the
     other pivot columns; the remaining rows are zero."""
-    m = [primitive(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), -1)
-        if piv < 0:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        if row_r[c] < 0:
-            row_r = m[r] = [-x for x in row_r]
-        p = row_r[c]
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = primitive([p * a - f * b for a, b in zip(m[i], row_r)])
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    ech = Echelon()
+    nrows = ncols = 0
+    for row in rows:
+        ech.absorb(row)
+        nrows, ncols = nrows + 1, len(row)
+    pivots = sorted(ech.rows)
+    zero = [[0] * ncols for _ in range(nrows - len(pivots))]
+    return [ech.rows[c] for c in pivots] + zero, pivots
 
 
 def nullspace(rows, ncols=None):

@@ -26,7 +26,7 @@ exact rows throughout and reduces them mod p per sample.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     TooLarge,
 )
 from .partitions import FlagType
-from .rank import MOD_PRIME, rank_exact, rank_modp, reduce_mod
+from .rank import MOD_PRIME, rank_exact, rank_modp
 
 COEFF_BOX = 10_000
 DEFAULT_SAMPLES = 5
@@ -350,26 +350,25 @@ def is_spherical_module(
                     "no matrix model for factor type %r" % (f.meta["type"],)
                 )
         rep = representation(factors, spec)
-    borel = _borel_of(rep)
+    n, borel = rep.n, _borel_of(rep)
+    borel = np.array(borel, dtype=np.int64).reshape(len(borel), n, n)
     if with_scalar:
-        borel = borel + [linalg.identity(rep.n)]
-    target = rep.n
+        borel = np.concatenate([borel, np.eye(n, dtype=np.int64)[None]])
+    bmax = int(np.abs(borel).max(initial=0))
+    if n * max(bmax, 1) * max(box, 1) >= 2**63:
+        raise TooLarge(
+            "coefficient box %d too large for int64 rows at dim %d" % (box, n)
+        )
     rng = np.random.default_rng(seed)
-    points = [
-        [int(rng.integers(-box, box + 1)) for _ in range(rep.n)]
-        for _ in range(samples)
-    ]
-
-    @cache
-    def rows_at(i):
-        w = points[i]
-        return [linalg.matvec(y, w) for y in borel]
-
+    points = rng.integers(-box, box + 1, size=(samples, n))
+    # rows[s, b] = borel[b] . points[s], every partial sum below 2^63
+    rows = np.matmul(borel, points.T).transpose(2, 0, 1)
+    residues = rows % MOD_PRIME
     return _scan(
-        target,
-        lambda i: reduce_mod(rows_at(i)),
-        rows_at,
-        points.__getitem__,
+        n,
+        residues.__getitem__,
+        lambda i: rows[i].tolist(),
+        points.tolist().__getitem__,
         samples,
         seed,
     )

@@ -36,6 +36,8 @@ from .errors import BadParameter, ShapeMismatch, TooLarge
 from .tuples import MonodromyClass
 
 _SIMPLE_DIM_CAP = 12
+# enumerate_simples lists O(n^2) descriptors: about 4 MB of CLI output at n = 1000
+_QUIVER_CAP = 1000
 
 
 class QuiverSpec:
@@ -46,6 +48,8 @@ class QuiverSpec:
             raise BadParameter("kind must be 'A' or 'B'")
         if n < 1:
             raise BadParameter("need n >= 1")
+        if n > _QUIVER_CAP:
+            raise TooLarge("quiver size %d exceeds the bound %d" % (n, _QUIVER_CAP))
         self.kind = kind
         self.n = int(n)
 

@@ -1,9 +1,10 @@
 """Integer matrix rank: a mod-p numpy kernel and exact Bareiss elimination.
 
-Ranks over Q are computed here; exact bases (linalg.rref/nullspace and
-snmod's incremental span) and the cyclotomic ranks in quivers eliminate on
-their own.  The oracle needs ranks that are bounded above by a known cap
-(the dimension of the variety or module being probed).  Reduction mod a
+Ranks over Q are computed here.  Exact bases come from linalg's one
+incremental echelon (linalg.Echelon, behind rref, nullspace and snmod's
+group-ring span), and quivers ranks over cyclotomic fields itself.  The
+oracle needs ranks that are bounded above by a known cap (the dimension
+of the variety or module being probed).  Reduction mod a
 31-bit prime can only lower the rank, so whenever the modular kernel
 reaches the cap the exact rank is certified without touching big integers.
 Anything short of the cap is re-done with fraction-free Bareiss elimination

@@ -8,9 +8,10 @@ length b by b - k), so no tables are shipped.  Representations are given by
 the matrices of the adjacent transpositions s_1, ..., s_{n-1}, with exact
 rational entries; the Coxeter relations are verified on construction.
 Characters and multiplicities are exact rationals.  Fixed spaces and the
-group-ring span are found by fraction-free integer elimination
-(linalg.nullspace and an incremental Gauss-Jordan on primitive integer
-rows), so no basis is carried in Fractions.
+group-ring span are found by linalg's one fraction-free elimination on
+primitive integer rows: fixed spaces by linalg.nullspace, the span by
+absorbing each new product into a linalg.Echelon, so membership of a
+product is a single reduction pass.  No basis is carried in Fractions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import linalg
-from .errors import BadParameter, RankTooLarge, RelationViolation
+from .errors import BadParameter, RelationViolation, TooLarge
 from .rank import rank_exact
 
 _DECOMPOSE_CAP = 8
@@ -245,7 +246,7 @@ def direct_sum_rep(a: SnRep, b: SnRep) -> SnRep:
 def decompose(r: SnRep):
     """Multiplicities of the simple modules via character inner products."""
     if r.n > _DECOMPOSE_CAP:
-        raise RankTooLarge("decompose supports n <= %d" % _DECOMPOSE_CAP)
+        raise TooLarge("decompose supports n <= %d" % _DECOMPOSE_CAP)
     classes = conjugacy_classes(r.n)
     traces = {ct: r.character(ct) for ct, _ in classes}
     order = factorial(r.n)
@@ -293,7 +294,7 @@ def _fixed_space(r: SnRep, skip):
 
 def lsn_check(r: SnRep) -> LsnResult:
     if r.n > _DECOMPOSE_CAP:
-        raise RankTooLarge("lsn_check supports n <= %d" % _DECOMPOSE_CAP)
+        raise TooLarge("lsn_check supports n <= %d" % _DECOMPOSE_CAP)
     vectors = []
     for i in range(1, r.n):
         vectors.extend(_fixed_space(r, i))
@@ -371,7 +372,7 @@ def pf_ring_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement):
     if a.n != b.n:
         raise BadParameter("elements of different group rings")
     if a.n > _RING_CAP:
-        raise RankTooLarge("group ring operations support n <= %d" % _RING_CAP)
+        raise TooLarge("group ring operations support n <= %d" % _RING_CAP)
     out = {}
     for p, cp in a.coeffs.items():
         for q, cq in b.coeffs.items():
@@ -384,7 +385,7 @@ def pf_generators_span(n) -> bool:
     """Do {s_i + 1} generate Z[S_n] as a unital ring?  Checked by spanning
     over Q: iterate products until the linear span stabilizes at n!."""
     if n > _SPAN_CAP:
-        raise RankTooLarge("generation check supports n <= %d" % _SPAN_CAP)
+        raise TooLarge("generation check supports n <= %d" % _SPAN_CAP)
     perms = _all_perms(n)
     index = {p: k for k, p in enumerate(perms)}
     target = len(perms)
@@ -398,39 +399,16 @@ def pf_generators_span(n) -> bool:
     gens = [
         GroupAlgebraElement.transposition_plus_one(n, i) for i in range(1, n)
     ]
-    # incremental fraction-free Gauss-Jordan: pivot rows are primitive
-    # integer rows, zero in every other pivot column, so membership of a new
-    # row is a single elimination pass
-    pivot_rows = {}
-
-    def absorb(row):
-        v = linalg.primitive(row)
-        for col, prow in pivot_rows.items():
-            f = v[col]
-            if f:
-                p = prow[col]
-                v = linalg.primitive([p * a - f * b for a, b in zip(v, prow)])
-        for col, p in enumerate(v):
-            if p:
-                for pcol, prow in pivot_rows.items():
-                    f = prow[col]
-                    if f:
-                        pivot_rows[pcol] = linalg.primitive(
-                            [p * a - f * b for a, b in zip(prow, v)]
-                        )
-                pivot_rows[col] = v
-                return True
-        return False
-
+    span = linalg.Echelon()
     unit = GroupAlgebraElement.unit(n)
-    absorb(vec(unit))
+    span.absorb(vec(unit))
     frontier = [unit]
     while frontier:
         e = frontier.pop()
         for g in gens:
             prod = pf_ring_multiply(e, g)
-            if absorb(vec(prod)):
+            if span.absorb(vec(prod)):
                 frontier.append(prod)
-                if len(pivot_rows) == target:
+                if len(span) == target:
                     return True
-    return len(pivot_rows) == target
+    return len(span) == target

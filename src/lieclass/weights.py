@@ -15,7 +15,7 @@ finite and the order can be explored by breadth-first search.
 
 from __future__ import annotations
 
-from .errors import RankTooLarge, TooLarge
+from .errors import TooLarge
 from .tuples import as_tuple
 
 _GROUP_CAP = 200_000
@@ -33,7 +33,7 @@ class WeightOrderContext:
         self.n = int(n)
         self.bound = bound
         if self.n > bound:
-            raise RankTooLarge("rank %d exceeds bound %d" % (self.n, bound))
+            raise TooLarge("rank %d exceeds bound %d" % (self.n, bound))
 
     def positive_roots(self):
         n = self.n
@@ -71,7 +71,7 @@ def _check(ctx, *weights):
     ws = [as_tuple(w) for w in weights]
     for w in ws:
         if len(w) != ctx.n:
-            raise RankTooLarge(
+            raise TooLarge(
                 "weight length %d does not match context rank %d" % (len(w), ctx.n)
             )
     return ws

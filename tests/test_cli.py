@@ -1,5 +1,6 @@
 import io
 import os
+import time
 
 import pytest
 
@@ -79,6 +80,15 @@ class TestExitCodes:
     def test_missing_dims_for_flag_oracle(self):
         code, _ = run_capture(["oracle", "--k", "sp(4)"])
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["1001", "100000", "1000000000"])
+    def test_quiver_size_above_the_cap_is_2(self, n):
+        start = time.perf_counter()
+        code, text = run_capture(
+            ["count-simples", "--quiver", "A", "--n", n, "--monodromy", "generic"]
+        )
+        assert code == 2 and text.startswith("error:")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSeedEnv:

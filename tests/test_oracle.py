@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lieclass import linalg
-from lieclass.algebras import ModuleSpec, make_algebra
+from lieclass import linalg, oracle
+from lieclass.algebras import ModuleSpec, make_algebra, representation
 from lieclass.classifier import datum_algebra
 from lieclass.errors import BadSampleCount, DimensionMismatch, TooLarge
 from lieclass.oracle import (
@@ -23,7 +23,7 @@ from lieclass.oracle import (
     sample_flag_point,
 )
 from lieclass.partitions import FlagType
-from lieclass.rank import reduce_mod
+from lieclass.rank import MOD_PRIME, reduce_mod
 
 
 class TestFlagPoint:
@@ -145,6 +145,66 @@ class TestModuleOracle:
         with pytest.raises(BadSampleCount):
             is_spherical_module([make_algebra("sl", 3)],
                                 ModuleSpec([("natural", 0)]), samples=0)
+
+
+def _module_rows_reference(rep, with_scalar, samples, seed, box):
+    """Points drawn entry by entry and rows y.w summed in Python ints: the
+    definition the batched int64 rows of the module oracle must match."""
+    borel = [[list(r) for r in y] for y in rep.borel_basis]
+    if with_scalar:
+        borel.append(linalg.identity(rep.n))
+    rng = np.random.default_rng(seed)
+    points = [
+        [int(rng.integers(-box, box + 1)) for _ in range(rep.n)]
+        for _ in range(samples)
+    ]
+    rows = [
+        [[sum(a * x for a, x in zip(yrow, w)) for yrow in y] for y in borel]
+        for w in points
+    ]
+    return points, rows
+
+
+class TestModuleRows:
+    """The module oracle's residues, exact rows and certificate points equal
+    the pure-Python reference at every sample."""
+
+    @pytest.mark.parametrize(
+        "factors,summands",
+        [
+            ((("sl", 4),), [("natural", 0)]),
+            ((("so", 5),), [("natural", 0), ("natural", 0)]),
+            ((("sp", 6),), [("natural", 0), ("trivial",)]),
+            ((("sl", 2), ("sp", 4)), [("tensor", (0, "n"), (1, "n"))]),
+            ((("sl", 2),), []),
+        ],
+    )
+    @pytest.mark.parametrize("with_scalar", [True, False])
+    def test_rows_match_reference(self, monkeypatch, factors, summands, with_scalar):
+        ks = [make_algebra(tag, n) for tag, n in factors]
+        spec = ModuleSpec(summands)
+        seen, scan = {}, oracle._scan
+
+        def spy(target, residues, exact_rows, certificate, samples, seed):
+            seen.update(residues=residues, exact_rows=exact_rows, cert=certificate)
+            return scan(target, residues, exact_rows, certificate, samples, seed)
+
+        monkeypatch.setattr(oracle, "_scan", spy)
+        is_spherical_module(ks, spec, with_scalar, samples=4, seed=9, box=COEFF_BOX)
+        points, rows = _module_rows_reference(
+            representation(ks, spec), with_scalar, 4, 9, COEFF_BOX
+        )
+        for i in range(4):
+            assert seen["cert"](i) == points[i]
+            assert seen["exact_rows"](i) == rows[i]
+            assert seen["residues"](i).tolist() == [
+                [x % MOD_PRIME for x in row] for row in rows[i]
+            ]
+
+    def test_box_too_large_for_int64_is_refused(self):
+        with pytest.raises(TooLarge):
+            is_spherical_module([make_algebra("sl", 3)],
+                                ModuleSpec([("natural", 0)]), box=2**62)
 
 
 class TestProductComplexity:

@@ -32,6 +32,11 @@ class TestSpec:
         with pytest.raises(BadParameter):
             QuiverSpec("A", 0)
 
+    def test_size_cap(self):
+        assert QuiverSpec("B", 1000).n == 1000
+        with pytest.raises(TooLarge):
+            QuiverSpec("B", 1001)
+
     def test_equality(self):
         assert QuiverSpec("A", 2) == QuiverSpec("A", 2)
         assert QuiverSpec("A", 2) != QuiverSpec("B", 2)

@@ -243,6 +243,26 @@ class TestExactBasis:
             assert red[r] == _reference_int_row(ref[r])
         assert all(not any(row) for row in red[len(pivots) :])
 
+    @given(low_rank_matrices(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_echelon_ignores_absorb_order(self, rows, rnd):
+        order = list(range(len(rows)))
+        rnd.shuffle(order)
+        ech = linalg.Echelon()
+        added = [ech.absorb(rows[i]) for i in order]
+        red, pivots = linalg.rref(rows)
+        assert sorted(ech.rows) == pivots
+        assert [ech.rows[c] for c in pivots] == red[: len(pivots)]
+        assert sum(added) == len(ech) == len(pivots)
+
+    def test_echelon_absorb_reports_membership(self):
+        ech = linalg.Echelon()
+        assert ech.absorb([0, 2, 4])
+        assert not ech.absorb([0, Fraction(-1, 2), -1])
+        assert not ech.absorb([0, 0, 0])
+        assert ech.absorb([3, 1, 0])
+        assert ech.rows == {0: [3, 0, -2], 1: [0, 1, 2]}
+
     @pytest.mark.parametrize("ncols", [0, 1, 4])
     def test_empty_rows(self, ncols):
         basis = linalg.nullspace([], ncols)

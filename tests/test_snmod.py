@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from lieclass.errors import BadParameter, RankTooLarge, RelationViolation
+from lieclass.errors import BadParameter, RelationViolation, TooLarge
 from lieclass.snmod import (
     GroupAlgebraElement,
     SnRep,
@@ -127,7 +127,7 @@ class TestDecompose:
         assert decompose(r) == {(4,): 1, (3, 1): 1}
 
     def test_cap(self):
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(TooLarge):
             decompose(trivial_rep(9))
 
     def test_mismatched_sum(self):
@@ -188,5 +188,5 @@ class TestGroupAlgebra:
             assert len(calls) == count, n
 
     def test_span_cap(self):
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(TooLarge):
             pf_generators_span(6)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieclass.errors import RankTooLarge
+from lieclass.errors import TooLarge
 from lieclass.weights import (
     WeightOrderContext,
     correctly_ordered,
@@ -15,7 +15,7 @@ from lieclass.weights import (
 
 class TestContext:
     def test_rank_bound(self):
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(TooLarge):
             WeightOrderContext("A", 9)
         WeightOrderContext("A", 9, bound=9)
 
@@ -25,7 +25,7 @@ class TestContext:
 
     def test_weight_length_checked(self):
         ctx = WeightOrderContext("A", 3)
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(TooLarge):
             weight_leq((1, 2), (2, 1), ctx)
 
 
