@@ -158,10 +158,3 @@ def invert_unit_lower(l):
                 s += l[i][k] * col[k][j]
             col[i][j] = -s
     return inv
-
-
-def invert_unit_upper(u):
-    n = len(u)
-    lt = [[u[j][i] for j in range(n)] for i in range(n)]
-    inv_lt = invert_unit_lower(lt)
-    return [[inv_lt[j][i] for j in range(n)] for i in range(n)]

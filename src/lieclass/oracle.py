@@ -9,24 +9,33 @@ undercount, so reaching the dimension mod p certifies a Yes outright, and
 the single best sample of a failing run is recomputed with exact Bareiss
 elimination, so every reported rank is exact.
 
-Points on a flag variety are sampled as g = L U with unit triangular
-integer L, U whose off-diagonal entries are drawn uniformly from the
-coefficient box; det g = 1.  The flag entry points form the constraint rows
-of all samples of one call at once, as int64 residues mod MOD_PRIME:
-g^-1 y g = U^-1 L^-1 (y L U) for the whole Borel basis is one
-(samples, m, n, dmax) array, L^-1 and U^-1 are applied by forward and back
-substitution so that every product is a box-sized entry of L or U times a
-residue (no int64 overflow), and the rows are gathered through an index
-fixed by the flag.  Exact integers remain in two places only: the point
-g, g^-1 of a Yes certificate or of the best failing sample, formed from
-L and U when first read, and that failing sample's rows for Bareiss, built
-from the nonzero entries of each Borel matrix.  The module oracle keeps
-exact rows throughout and reduces them mod p per sample.
+Points on a flag variety G/P are sampled in its big cell N^-_P . P/P, the
+open affine chart given by the Bruhat decomposition: g = L is unit lower
+triangular, zero inside the diagonal blocks cut by the flag's steps, with
+the entries below them drawn uniformly from the coefficient box; det g = 1
+and g^-1 = L^-1 is again an integer matrix.  A factor U of the Borel would
+not change any rank (the rows at L U are the rows at L under the
+invertible Ad(U^-1) on g/p), so none is drawn.  For k blocks the entries
+of L^-1 have degree at most k - 1 in the drawn entries, an r x r minor of
+the constraint rows degree at most k r, and by Schwartz-Zippel one sample
+misses the generic rank with probability at most k r / (2 box + 1).
+
+The flag entry points form the constraint rows of all samples of one call
+at once, as int64 residues mod MOD_PRIME: g^-1 y g = L^-1 (y L) for the
+whole Borel basis is one (samples, m, n, dmax) array, L^-1 is applied by
+forward substitution so that every product is a box-sized entry of L
+times a residue (no int64 overflow), and the rows are gathered through an
+index fixed by the flag.  Exact integers remain in two places only: the
+point g, g^-1 of a Yes certificate or of the best failing sample, formed
+from L when first read, and that failing sample's rows for Bareiss, built
+from the nonzero entries of each Borel matrix.  The module oracle draws
+all its points at once, forms its rows as one int64 product and reduces
+them mod p.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -49,17 +58,17 @@ class FlagPoint:
     """A flag given by an invertible integer matrix: the first n_i columns
     of g span the i-th subspace.
 
-    A sampled point keeps the int64 factors of g = L U (``lower``,
-    ``upper``) and forms the exact g and g^-1 from them when first read."""
+    A sampled point keeps its int64 chart factor g = L (``lower``) and
+    forms the exact g and g^-1 = L^-1 from it when first read."""
 
-    __slots__ = ("ambient", "dims", "lower", "upper", "_g", "_g_inv")
+    __slots__ = ("ambient", "dims", "lower", "_g", "_g_inv")
 
     def __init__(self, ambient, dims, g, g_inv=None):
         if g_inv is None:
             raise DimensionMismatch("g_inv required")
         self.ambient = ambient
         self.dims = tuple(dims)
-        self.lower = self.upper = None
+        self.lower = None
         self._g = [list(row) for row in g]
         self._g_inv = [list(row) for row in g_inv]
 
@@ -70,23 +79,19 @@ class FlagPoint:
         return cls(n, flag.dims, ident, ident)
 
     @classmethod
-    def from_factors(cls, flag: FlagType, lower, upper):
-        """The point g = lower @ upper, for unit lower and upper triangular
-        integer arrays."""
+    def from_factors(cls, flag: FlagType, lower):
+        """The point g = lower, for a unit lower triangular integer array."""
         x = cls.__new__(cls)
         x.ambient = flag.ambient
         x.dims = tuple(flag.dims)
-        x.lower, x.upper = lower, upper
+        x.lower = lower
         x._g = x._g_inv = None
         return x
 
     def _exact(self):
         if self._g is None:
-            lo, up = self.lower.tolist(), self.upper.tolist()
-            self._g = linalg.matmul(lo, up)
-            self._g_inv = linalg.matmul(
-                linalg.invert_unit_upper(up), linalg.invert_unit_lower(lo)
-            )
+            self._g = self.lower.tolist()
+            self._g_inv = linalg.invert_unit_lower(self._g)
 
     @property
     def g(self):
@@ -132,38 +137,41 @@ class OracleVerdict:
         )
 
 
-@lru_cache(maxsize=None)
-def _below_diagonal(n):
-    """Flat indices of the entries below the diagonal of an n x n matrix,
-    row by row."""
-    below = np.array([i * n + j for i in range(n) for j in range(i)], dtype=np.intp)
-    below.flags.writeable = False
-    return below
-
-
-def _unit_lower(n, rng, box):
-    """Unit lower triangular int64 matrix.  The entries below the diagonal
-    come row by row from one vector draw, the same stream as one scalar
-    draw per entry."""
-    below = _below_diagonal(n)
-    m = np.eye(n, dtype=np.int64)
-    m.flat[below] = rng.integers(-box, box + 1, size=len(below))
-    return m
-
-
 def sample_flag_point(flag: FlagType, rng, box=COEFF_BOX) -> FlagPoint:
-    """A random point g = L U: L is drawn first, then U (as the transpose
-    of a unit lower matrix)."""
+    """A random point g = L of the big cell N^-_P . P/P of the flag
+    variety: unit lower triangular, zero inside the diagonal blocks cut by
+    the steps, and the entries below them drawn from the box row by row in
+    one vector draw (the same stream as one scalar draw per entry).
+
+    The rank at L U equals the rank at L for any U in the Borel, and the
+    within-block part of a unit lower matrix lies in P, so nothing else is
+    drawn.  For k blocks an r x r minor of the constraint rows has degree
+    at most k r in the drawn entries, so by Schwartz-Zippel the point
+    misses the generic rank with probability at most k r / (2 box + 1)."""
     n = flag.ambient
-    lo = _unit_lower(n, rng, box)
-    up = _unit_lower(n, rng, box).T
-    return FlagPoint.from_factors(flag, lo, up)
+    chart = _chart_index(n, flag.dims)
+    lower = np.eye(n, dtype=np.int64)
+    lower.flat[chart] = rng.integers(-box, box + 1, size=len(chart))
+    return FlagPoint.from_factors(flag, lower)
 
 
 def _borel_of(b):
     if isinstance(b, CatalogAlgebra):
         return list(b.borel_basis)
     return list(b)
+
+
+@lru_cache(maxsize=4096)
+def _chart_index(n, dims):
+    """Flat indices of the chart entries of an n x n matrix, row by row:
+    (i, j) with j below the last step d <= i, that is, below the diagonal
+    blocks cut by the steps."""
+    cuts = [max((d for d in dims if d <= i), default=0) for i in range(n)]
+    chart = np.array(
+        [i * n + j for i in range(n) for j in range(cuts[i])], dtype=np.intp
+    )
+    chart.flags.writeable = False
+    return chart
 
 
 @lru_cache(maxsize=4096)
@@ -211,8 +219,8 @@ def _flag_residues(borel, points, flags, p=MOD_PRIME):
 
     points[s] holds one sampled point per flag; the rows of the flags are
     stacked in order, each block ordered as in _constraint_rows.  Every
-    product taken is a residue times an entry of the Borel basis, L or U,
-    so it stays in int64 while n * box * p < 2^63.
+    product taken is a residue times an entry of L, so it stays in int64
+    while n * box * p < 2^63.
     """
     n, m = flags[0].ambient, len(borel)
     if not m:
@@ -223,20 +231,13 @@ def _flag_residues(borel, points, flags, p=MOD_PRIME):
     for f, flag in enumerate(flags):
         _, rr, kk = _row_index(n, flag.dims)
         lower = np.stack([x[f].lower for x in points])
-        upper = np.stack([x[f].upper for x in points])
-        lo, hi = min(flag.dims), max(flag.dims)
-        # Columns k < hi of y L U: U is upper triangular, so they need only
-        # L[:, :hi] and U[:hi, :hi].
+        hi = max(flag.dims)
+        # Columns k < hi of y L, then L^-1 by forward substitution: L is
+        # zero below the diagonal in columns j >= hi (the last block).
         a = np.matmul(borel, lower[:, None, :, :hi]) % p
-        a = np.matmul(a, upper[:, None, :hi, :hi]) % p
-        # L^-1 by forward substitution.
-        for j in range(n - 1):
+        for j in range(hi):
             a[:, :, j + 1 :] -= lower[:, None, j + 1 :, j, None] * a[:, :, j, None]
             a[:, :, j + 1 :] %= p
-        # U^-1 by back substitution; rows r >= lo are all that is read.
-        for j in range(n - 1, lo, -1):
-            a[:, :, lo:j] -= upper[:, None, lo:j, j, None] * a[:, :, j, None]
-            a[:, :, lo:j] %= p
         blocks.append(a[:, :, rr, kk].transpose(0, 2, 1))
     return np.concatenate(blocks, axis=1)
 
@@ -280,11 +281,22 @@ def _scan(target, residues, exact_rows, certificate, samples, seed):
     return OracleVerdict("ProbablyNo", exact, target, samples, seed)
 
 
-def _flag_verdict(borel, flags, samples, seed, box):
-    """The one scan path of the flag entry points: the Borel acts
-    diagonally on the product of the flag varieties of `flags` (all in
-    C^n).  Each sample draws one point per flag, in order."""
-    n = flags[0].ambient
+def _flag_verdict(n, k, flags, samples, seed, box):
+    """The one validated scan path of the flag entry points: the Borel of k
+    acts diagonally on the product of the flag varieties of `flags`, all
+    in C^n.  Each sample draws one point per flag, in order.
+
+    k is an algebra, a Borel basis, or a function building one; it is
+    called only once the sample count and the flag ambients are checked."""
+    if samples < 1:
+        raise BadSampleCount("samples must be >= 1")
+    if any(f.ambient != n for f in flags):
+        raise DimensionMismatch("flag ambients must equal %d" % n)
+    borel = _borel_of(k() if callable(k) else k)
+    if borel and len(borel[0]) != n:
+        raise DimensionMismatch(
+            "Borel acts on C^%d, flags live in C^%d" % (len(borel[0]), n)
+        )
     if n * max(box, 1) * MOD_PRIME >= 2**63:
         raise TooLarge(
             "coefficient box %d too large for int64 residues at n = %d" % (box, n)
@@ -313,16 +325,11 @@ def _flag_verdict(borel, flags, samples, seed, box):
 def is_spherical_flag(
     k, flag: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX
 ) -> OracleVerdict:
-    if samples < 1:
-        raise BadSampleCount("samples must be >= 1")
-    borel = _borel_of(k)
-    if borel and len(borel[0]) != flag.ambient:
-        raise DimensionMismatch("algebra size does not match flag ambient")
-    return _flag_verdict(borel, (flag,), samples, seed, box)
+    return _flag_verdict(flag.ambient, k, (flag,), samples, seed, box)
 
 
 def complexity_flag(k, flag: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX):
-    return is_spherical_flag(k, flag, samples, seed, box).complexity
+    return _flag_verdict(flag.ambient, k, (flag,), samples, seed, box).complexity
 
 
 def is_spherical_module(
@@ -403,20 +410,15 @@ def product_flag_complexity(
     g_n, f1: FlagType, f2: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX
 ):
     """Complexity of the gl_n Borel acting diagonally on pairs of flags."""
-    if samples < 1:
-        raise BadSampleCount("samples must be >= 1")
-    if f1.ambient != g_n or f2.ambient != g_n:
-        raise DimensionMismatch("flag ambients must equal g_n")
-    return _flag_verdict(_gl_borel(g_n), (f1, f2), samples, seed, box).complexity
+    borel = partial(_gl_borel, g_n)
+    return _flag_verdict(g_n, borel, (f1, f2), samples, seed, box).complexity
 
 
 def levi_flag_complexity(
     g_n, f1: FlagType, f2: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX
 ):
     """Complexity of f1 under the Borel of the Levi attached to f2; equal to
-    the product complexity by the restriction identity."""
-    if samples < 1:
-        raise BadSampleCount("samples must be >= 1")
-    if f1.ambient != g_n or f2.ambient != g_n:
-        raise DimensionMismatch("flag ambients must equal g_n")
-    return _flag_verdict(levi_borel(g_n, f2), (f1,), samples, seed, box).complexity
+    the product complexity by the restriction identity.  An f2 of another
+    ambient is refused by levi_borel."""
+    borel = partial(levi_borel, g_n, f2)
+    return _flag_verdict(g_n, borel, (f1,), samples, seed, box).complexity

@@ -15,7 +15,7 @@ finite and the order can be explored by breadth-first search.
 
 from __future__ import annotations
 
-from .errors import TooLarge
+from .errors import MismatchedSize, TooLarge
 from .tuples import as_tuple
 
 _GROUP_CAP = 200_000
@@ -71,7 +71,7 @@ def _check(ctx, *weights):
     ws = [as_tuple(w) for w in weights]
     for w in ws:
         if len(w) != ctx.n:
-            raise TooLarge(
+            raise MismatchedSize(
                 "weight length %d does not match context rank %d" % (len(w), ctx.n)
             )
     return ws

@@ -90,7 +90,7 @@ def all_flags(n, max_len=None):
 # 1. classifier agrees with the rank oracle on every small datum
 
 
-def small_data():
+def small_data(ns=range(2, 8)):
     def tags_for(size):
         out = [("sl", size)]
         if size >= 3:
@@ -99,7 +99,7 @@ def small_data():
             out.append(("sp", size))
         return out
 
-    for n in range(2, 8):
+    for n in ns:
         flag_sets = [
             dims
             for length in (1, 2, 3)
@@ -115,10 +115,10 @@ def small_data():
                     yield ClassificationDatum(dims, list(assign), trivial)
 
 
-def test_criterion_1_classifier_oracle_agreement():
+def _criterion_1_sweep(data):
     alg_cache = {}
     count = 0
-    for d in small_data():
+    for d in data:
         verdict = classify_flag_datum(d)
         key = (d.factors, d.trivial)
         if key not in alg_cache:
@@ -128,7 +128,15 @@ def test_criterion_1_classifier_oracle_agreement():
         )
         assert bool(verdict) == bool(oracle), (d, verdict, oracle)
         count += 1
-    assert count > 1000
+    return count
+
+
+def test_criterion_1_classifier_oracle_agreement():
+    assert _criterion_1_sweep(small_data()) > 1000
+
+
+def test_criterion_1_classifier_oracle_agreement_n8():
+    assert _criterion_1_sweep(small_data([8])) == 1953
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from lieclass.oracle import (
     _constraint_rows,
     _flag_residues,
     _gl_borel,
-    _unit_lower,
     borel_orbit_dim_at,
     complexity_flag,
     is_spherical_flag,
@@ -269,17 +270,22 @@ class TestRandomStream:
             vector.integers(-box, box + 1)
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7])
-    def test_unit_lower_matches_row_by_row_draws(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_chart_matches_row_by_row_draws(self, n):
+        # every flag of C^n: the entries below the diagonal blocks, drawn
+        # row by row, one scalar draw each; 1 on the diagonal, 0 elsewhere
         rng = np.random.default_rng(n)
         ref = np.random.default_rng(n)
-        for _ in range(3):
-            m = _unit_lower(n, rng, 50)
-            want = linalg.identity(n)
-            for i in range(n):
-                for j in range(i):
-                    want[i][j] = int(ref.integers(-50, 51))
-            assert m.tolist() == want
+        for length in range(1, n):
+            for dims in itertools.combinations(range(1, n), length):
+                x = sample_flag_point(FlagType(dims, n), rng, 50)
+                want = linalg.identity(n)
+                for i in range(n):
+                    for j in range(max((d for d in dims if d <= i), default=0)):
+                        want[i][j] = int(ref.integers(-50, 51))
+                assert x.lower.tolist() == want, dims
+                assert x.g == want
+        assert int(rng.integers(-50, 51)) == int(ref.integers(-50, 51))
 
 
 def _conjugation_rows(borel, x):
@@ -375,6 +381,91 @@ class TestResidues:
         k = make_algebra("sl", 3)
         with pytest.raises(TooLarge):
             is_spherical_flag(k, FlagType((1,), 3), box=2**32)
+
+
+def _unit_lower_in(n, cells, rng, box):
+    """Unit lower triangular matrix with random entries at `cells`."""
+    m = linalg.identity(n)
+    for i, j in cells:
+        m[i][j] = int(rng.integers(-box, box + 1))
+    return m
+
+
+class TestChart:
+    """A factor of P changes no rank: the orbit dimension at the chart
+    point L equals the one at L M U, for M unit lower inside the diagonal
+    blocks and U unit upper (every unit lower g factors as L M, so L M U
+    is the point g = L U the chart replaced)."""
+
+    @pytest.mark.parametrize(
+        "tag,n",
+        [(tag, n) for n in range(2, 8) for tag in ("gl", "so", "sp")
+         if not (tag == "so" and n < 3 or tag == "sp" and n % 2)],
+    )
+    def test_rank_at_lmu_equals_rank_at_l(self, tag, n):
+        k = make_algebra(tag, n)
+        rng = np.random.default_rng(100 + n)
+        for flag in _flags_of(n):
+            x = sample_flag_point(flag, rng, box=50)
+            cuts = [max((d for d in flag.dims if d <= i), default=0)
+                    for i in range(n)]
+            m = _unit_lower_in(
+                n, [(i, j) for i in range(n) for j in range(cuts[i], i)], rng, 50
+            )
+            ut = _unit_lower_in(
+                n, [(i, j) for i in range(n) for j in range(i)], rng, 50
+            )
+            mu = linalg.matmul(m, linalg.transpose(ut))
+            mu_inv = linalg.matmul(
+                linalg.transpose(linalg.invert_unit_lower(ut)),
+                linalg.invert_unit_lower(m),
+            )
+            lmu = FlagPoint(
+                n, flag.dims, linalg.matmul(x.g, mu), linalg.matmul(mu_inv, x.g_inv)
+            )
+            assert linalg.matmul(lmu.g, lmu.g_inv) == linalg.identity(n)
+            assert borel_orbit_dim_at(k, lmu) == borel_orbit_dim_at(k, x), flag
+
+
+def _entry_point_calls(n, flag, samples):
+    """The four flag entry points, each asked about `flag` (and a good
+    flag of C^n) with the gl_n Borel."""
+    good = FlagType((1,), n)
+    k = make_algebra("gl", n)
+    return {
+        "is_spherical_flag": lambda: is_spherical_flag(k, flag, samples),
+        "complexity_flag": lambda: complexity_flag(k, flag, samples),
+        "product_flag_complexity": lambda: product_flag_complexity(
+            n, good, flag, samples
+        ),
+        "levi_flag_complexity": lambda: levi_flag_complexity(
+            n, flag, good, samples
+        ),
+    }
+
+
+class TestFlagValidation:
+    """The flag entry points share one validation: the same bad input
+    raises the same type from each of them."""
+
+    @pytest.mark.parametrize(
+        "flag_n,samples,error",
+        [
+            (4, 0, BadSampleCount),
+            (5, 0, BadSampleCount),
+            (5, 5, DimensionMismatch),
+            (3, 1, DimensionMismatch),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        ["is_spherical_flag", "complexity_flag", "product_flag_complexity",
+         "levi_flag_complexity"],
+    )
+    def test_same_error_from_every_entry_point(self, entry, flag_n, samples, error):
+        call = _entry_point_calls(4, FlagType((1,), flag_n), samples)[entry]
+        with pytest.raises(error):
+            call()
 
 
 class TestCertificates:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieclass.errors import TooLarge
+from lieclass.errors import MismatchedSize, TooLarge
 from lieclass.weights import (
     WeightOrderContext,
     correctly_ordered,
@@ -25,7 +25,7 @@ class TestContext:
 
     def test_weight_length_checked(self):
         ctx = WeightOrderContext("A", 3)
-        with pytest.raises(TooLarge):
+        with pytest.raises(MismatchedSize):
             weight_leq((1, 2), (2, 1), ctx)
 
 
