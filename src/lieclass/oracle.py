@@ -24,8 +24,9 @@ The flag entry points form the constraint rows of all samples of one call
 at once, as int64 residues mod MOD_PRIME: g^-1 y g = L^-1 (y L) for the
 whole Borel basis is one (samples, m, n, dmax) array, L^-1 is applied by
 forward substitution so that every product is a box-sized entry of L
-times a residue (no int64 overflow), and the rows are gathered through an
-index fixed by the flag.  Exact integers remain in two places only: the
+times a residue (no int64 overflow), and the rows are gathered at the
+chart coordinates, the entries of g^-1 y g that must vanish, so each flag
+gives dim G/P rows.  Exact integers remain in two places only: the
 point g, g^-1 of a Yes certificate or of the best failing sample, formed
 from L when first read, and that failing sample's rows for Bareiss, built
 from the nonzero entries of each Borel matrix.  The module oracle draws
@@ -52,6 +53,7 @@ from .rank import MOD_PRIME, rank_exact, rank_modp
 
 COEFF_BOX = 10_000
 DEFAULT_SAMPLES = 5
+MAX_SAMPLES = 1000
 
 
 class FlagPoint:
@@ -165,7 +167,8 @@ def _borel_of(b):
 def _chart_index(n, dims):
     """Flat indices of the chart entries of an n x n matrix, row by row:
     (i, j) with j below the last step d <= i, that is, below the diagonal
-    blocks cut by the steps."""
+    blocks cut by the steps.  The same entries of g^-1 y g are the ones
+    the constraint rows read."""
     cuts = [max((d for d in dims if d <= i), default=0) for i in range(n)]
     chart = np.array(
         [i * n + j for i in range(n) for j in range(cuts[i])], dtype=np.intp
@@ -174,28 +177,18 @@ def _chart_index(n, dims):
     return chart
 
 
-@lru_cache(maxsize=4096)
-def _row_index(n, dims):
-    """Entries (r, k) of g^-1 y g that must vanish for y to fix the flag,
-    k < d <= r for each step d (blocks of different steps overlap), as a
-    tuple of pairs and as gather arrays."""
-    pairs = tuple((r, k) for d in dims for r in range(d, n) for k in range(d))
-    rr = np.array([r for r, _ in pairs], dtype=np.intp)
-    kk = np.array([k for _, k in pairs], dtype=np.intp)
-    rr.flags.writeable = kk.flags.writeable = False
-    return pairs, rr, kk
-
-
 def _constraint_rows(borel_mats, x: FlagPoint):
-    """Rows of the map  coefficients -> violated flag-stability entries.
+    """Rows of the map  coefficients -> violated flag-stability entries,
+    one row per chart coordinate, so dim G/P rows.
 
     y fixes the flag iff (g^-1 y g) keeps every coordinate subspace
-    span(e_0..e_{d-1}); the rank of these rows is the orbit dimension.
-    Exact integers: entry (r, k) is summed over the nonzero y[i][j] only,
-    and only for the (r, k) that some row needs.
+    span(e_0..e_{d-1}), that is, iff its entries (r, k) with k below the
+    last step d <= r vanish: the chart coordinates of _chart_index, which
+    are the coordinates of g/p.  The rank of the rows is the orbit
+    dimension.  Exact integers: entry (r, k) is summed over the nonzero
+    y[i][j] only.
     """
-    pairs = _row_index(x.ambient, x.dims)[0]
-    g, g_inv = x.g, x.g_inv
+    n, g, g_inv = x.ambient, x.g, x.g_inv
     terms = [
         (b, i, j, v)
         for b, y in enumerate(borel_mats)
@@ -203,33 +196,31 @@ def _constraint_rows(borel_mats, x: FlagPoint):
         for j, v in enumerate(row)
         if v
     ]
-    entries = {}
-    for r, k in pairs:
-        if (r, k) not in entries:
-            gr, gk = g_inv[r], [row[k] for row in g]
-            out = [0] * len(borel_mats)
-            for b, i, j, v in terms:
-                out[b] += v * gr[i] * gk[j]
-            entries[r, k] = out
-    return [list(entries[rk]) for rk in pairs]
+    rows = []
+    for c in _chart_index(n, x.dims).tolist():
+        r, k = divmod(c, n)
+        gr, gk = g_inv[r], [row[k] for row in g]
+        out = [0] * len(borel_mats)
+        for b, i, j, v in terms:
+            out[b] += v * gr[i] * gk[j]
+        rows.append(out)
+    return rows
 
 
 def _flag_residues(borel, points, flags, p=MOD_PRIME):
     """Constraint rows of every sample mod p, shape (samples, rows, m).
 
     points[s] holds one sampled point per flag; the rows of the flags are
-    stacked in order, each block ordered as in _constraint_rows.  Every
-    product taken is a residue times an entry of L, so it stays in int64
-    while n * box * p < 2^63.
+    stacked in order, one row per chart coordinate of each flag (dim G/P
+    rows), ordered as in _constraint_rows.  Every product taken is a
+    residue times an entry of L, so it stays in int64 while
+    n * box * p < 2^63.
     """
     n, m = flags[0].ambient, len(borel)
-    if not m:
-        rows = sum(len(_row_index(n, f.dims)[0]) for f in flags)
-        return np.zeros((len(points), rows, 0), dtype=np.int64)
     borel = np.array(borel, dtype=np.int64).reshape(m, n, n) % p
     blocks = []
     for f, flag in enumerate(flags):
-        _, rr, kk = _row_index(n, flag.dims)
+        rr, kk = np.divmod(_chart_index(n, flag.dims), n)
         lower = np.stack([x[f].lower for x in points])
         hi = max(flag.dims)
         # Columns k < hi of y L, then L^-1 by forward substitution: L is
@@ -290,6 +281,8 @@ def _flag_verdict(n, k, flags, samples, seed, box):
     called only once the sample count and the flag ambients are checked."""
     if samples < 1:
         raise BadSampleCount("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise TooLarge("samples must be <= %d" % MAX_SAMPLES)
     if any(f.ambient != n for f in flags):
         raise DimensionMismatch("flag ambients must equal %d" % n)
     borel = _borel_of(k() if callable(k) else k)
@@ -347,6 +340,8 @@ def is_spherical_module(
     representation algebra (spec omitted)."""
     if samples < 1:
         raise BadSampleCount("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise TooLarge("samples must be <= %d" % MAX_SAMPLES)
     if isinstance(k, CatalogAlgebra) and spec is None:
         rep = k
     else:

@@ -90,6 +90,20 @@ class TestExitCodes:
         assert code == 2 and text.startswith("error:")
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--k", "sl(3)", "--dims", "1"],
+            ["oracle", "--k", "sl(2) on C2"],
+            ["product", "--steps1", "1,2", "--steps2", "2,1", "--check"],
+        ],
+    )
+    def test_sample_count_above_the_cap_is_2(self, argv):
+        start = time.perf_counter()
+        code, text = run_capture(argv + ["--samples", "1000000000"])
+        assert code == 2 and text.startswith("error:")
+        assert time.perf_counter() - start < 1.0
+
 
 class TestSeedEnv:
     def test_env_seed_used(self, monkeypatch):

@@ -147,6 +147,12 @@ class TestModuleOracle:
             is_spherical_module([make_algebra("sl", 3)],
                                 ModuleSpec([("natural", 0)]), samples=0)
 
+    def test_sample_count_capped(self):
+        with pytest.raises(TooLarge):
+            is_spherical_module([make_algebra("sl", 3)],
+                                ModuleSpec([("natural", 0)]),
+                                samples=oracle.MAX_SAMPLES + 1)
+
 
 def _module_rows_reference(rep, with_scalar, samples, seed, box):
     """Points drawn entry by entry and rows y.w summed in Python ints: the
@@ -290,14 +296,15 @@ class TestRandomStream:
 
 def _conjugation_rows(borel, x):
     """Constraint rows from the full products g^-1 y g: the definition
-    that _constraint_rows computes from the nonzero entries of y."""
+    that _constraint_rows computes from the nonzero entries of y.  Each
+    entry (r, k) that must vanish, k below the last step <= r, once, row
+    by row."""
     conj = [linalg.matmul(linalg.matmul(x.g_inv, [list(r) for r in y]), x.g)
             for y in borel]
     return [
         [c[r][k] for c in conj]
-        for d in x.dims
-        for r in range(d, x.ambient)
-        for k in range(d)
+        for r in range(x.ambient)
+        for k in range(max((d for d in x.dims if d <= r), default=0))
     ]
 
 
@@ -377,6 +384,29 @@ class TestResidues:
                 k.borel_basis, x
             )
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_one_row_per_chart_coordinate(self, n):
+        # all n^2 matrix units at the standard point: the row of entry
+        # (r, k) of g^-1 y g is the unit vector at r n + k, so the rows
+        # name their entries
+        units = [
+            [[int((a, c) == divmod(e, n)) for c in range(n)] for a in range(n)]
+            for e in range(n * n)
+        ]
+        full = FlagType(tuple(range(1, n)), n)
+        rng = np.random.default_rng(n)
+        for length in range(1, n):
+            for dims in itertools.combinations(range(1, n), length):
+                flag = FlagType(dims, n)
+                rows = _constraint_rows(units, FlagPoint.standard(flag))
+                entries = [row.index(1) for row in rows]
+                assert all(sum(row) == 1 for row in rows), dims
+                assert len(set(entries)) == len(entries) == flag.dim(), dims
+                points = [(sample_flag_point(flag, rng),
+                           sample_flag_point(full, rng))]
+                got = _flag_residues(_gl_borel(n), points, (flag, full))
+                assert got.shape[1] == flag.dim() + full.dim(), dims
+
     def test_box_too_large_for_int64_is_refused(self):
         k = make_algebra("sl", 3)
         with pytest.raises(TooLarge):
@@ -455,6 +485,8 @@ class TestFlagValidation:
             (5, 0, BadSampleCount),
             (5, 5, DimensionMismatch),
             (3, 1, DimensionMismatch),
+            (4, oracle.MAX_SAMPLES + 1, TooLarge),
+            (5, oracle.MAX_SAMPLES + 1, TooLarge),
         ],
     )
     @pytest.mark.parametrize(
