@@ -6,13 +6,24 @@ matrices is a genuine Borel subalgebra and no triangular decomposition has
 to be computed.  Modules built from factors (naturals, duals, symmetric and
 exterior squares, two-factor tensor products, trivial summands) are
 assembled by pushing each factor's basis through the representation maps.
+make_algebra, representation and the flag oracle refuse (TooLarge) any
+size above MAX_MATRIX_SIZE before building a matrix.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .errors import BadParameter, MismatchedSize
+from .errors import BadParameter, MismatchedSize, TooLarge
 from .rank import rank_capped, rank_exact
+
+# at the bound, `lieclass oracle --k 'sl(32)'` with the full flag takes
+# about 1.3 s and 97 MB (2-core x86_64, Python 3.11)
+MAX_MATRIX_SIZE = 32
+
+
+def check_matrix_size(n):
+    if n > MAX_MATRIX_SIZE:
+        raise TooLarge("matrix size %d exceeds the bound %d" % (n, MAX_MATRIX_SIZE))
 
 
 class CatalogAlgebra:
@@ -113,6 +124,7 @@ def _form_algebra(n, form, upper_only=False):
 
 def make_algebra(tag, n):
     n = int(n)
+    check_matrix_size(n)
     if tag == "gl":
         if n < 1:
             raise BadParameter("gl needs n >= 1")
@@ -336,6 +348,7 @@ def representation(factors, spec: ModuleSpec) -> CatalogAlgebra:
         factors = [factors]
     sizes = [f.n for f in factors]
     dims = spec.summand_dims(sizes)
+    check_matrix_size(sum(dims))
     for s in spec.summands:
         for ref in _factor_refs(s):
             if ref >= len(factors):

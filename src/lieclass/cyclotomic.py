@@ -2,9 +2,11 @@
 
 Elements are residues of rational polynomials modulo the m-th cyclotomic
 polynomial, stored low degree first.  Phi_m is computed by dividing x^m - 1
-by the cyclotomic polynomials of the proper divisors of m; inverses come
-from the extended Euclidean algorithm in Q[x].  Everything is a Fraction,
-so equality tests are exact.
+by the cyclotomic polynomials of the proper divisors of m.  Elements form
+a ring here: +, -, * and nonnegative powers, and no division.  Linear
+dependence over Q(zeta_m) is decided over Q instead, on the coordinates
+in the basis 1, zeta, ..., zeta^(phi(m)-1) (quivers._absorb).  Everything
+is a Fraction, so equality tests are exact.
 """
 
 from __future__ import annotations
@@ -30,13 +32,6 @@ def _poly_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim(tuple(out))
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (_ZERO,) * (n - len(a))
-    b = tuple(b) + (_ZERO,) * (n - len(b))
-    return _trim(tuple(x - y for x, y in zip(a, b)))
 
 
 def _poly_divmod(a, b):
@@ -151,30 +146,9 @@ class CycElem:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        # extended gcd of the residue with the modulus in Q[x]
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        r0, r1 = _trim(self.field.modulus), _trim(self.coeffs)
-        s0, s1 = (), (_ONE,)
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(r0) != 1:
-            raise ZeroDivisionError("element is a zero divisor")
-        inv = tuple(c / r0[0] for c in s0)
-        return self.field.element(inv)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     def __pow__(self, k):
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError("exponent must be >= 0: elements are not divided")
         out = self.field.one()
         base = self
         while k:

@@ -3,9 +3,11 @@
 Matrices are lists of lists (or tuples of tuples) of ints.  The one exact
 elimination for bases is Echelon, an incremental fraction-free
 Gauss-Jordan on primitive integer rows: rref absorbs every row and
-nullspace reads its vectors off rref, and snmod's group-ring span absorbs
-products one at a time.  No Fraction arithmetic is done; rational input
-rows are cleared of denominators once, on entry.  Ranks go through
+nullspace reads its vectors off rref, snmod's group-ring span absorbs
+products one at a time, and quivers absorbs vectors over Q(zeta_m) as
+their coordinate rows over Q (restriction of scalars).  No Fraction
+arithmetic is done; rational input rows are cleared of denominators
+once, on entry.  Ranks go through
 rank.py.  Sizes are modest: the largest systems, the table normalizers,
 have a few thousand rows over at most a few hundred columns.
 """

@@ -31,7 +31,8 @@ point g, g^-1 of a Yes certificate or of the best failing sample, formed
 from L when first read, and that failing sample's rows for Bareiss, built
 from the nonzero entries of each Borel matrix.  The module oracle draws
 all its points at once, forms its rows as one int64 product and reduces
-them mod p.
+them mod p.  A call whose int64 arrays would pass MAX_CELLS is refused
+with TooLarge before anything is drawn.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import linalg
-from .algebras import CatalogAlgebra, ModuleSpec, representation
+from .algebras import CatalogAlgebra, ModuleSpec, check_matrix_size, representation
 from .errors import (
     BadSampleCount,
     DimensionMismatch,
@@ -54,6 +55,14 @@ from .rank import MOD_PRIME, rank_exact, rank_modp
 COEFF_BOX = 10_000
 DEFAULT_SAMPLES = 5
 MAX_SAMPLES = 1000
+# int64 cells of the residue arrays of one call (64 MB): every sample's
+# rows at once, or for a flag the products y L they are gathered from
+MAX_CELLS = 2**23
+
+
+def _check_cells(cells):
+    if cells > MAX_CELLS:
+        raise TooLarge("%d int64 cells exceed the bound %d" % (cells, MAX_CELLS))
 
 
 class FlagPoint:
@@ -285,11 +294,13 @@ def _flag_verdict(n, k, flags, samples, seed, box):
         raise TooLarge("samples must be <= %d" % MAX_SAMPLES)
     if any(f.ambient != n for f in flags):
         raise DimensionMismatch("flag ambients must equal %d" % n)
+    check_matrix_size(n)
     borel = _borel_of(k() if callable(k) else k)
     if borel and len(borel[0]) != n:
         raise DimensionMismatch(
             "Borel acts on C^%d, flags live in C^%d" % (len(borel[0]), n)
         )
+    _check_cells(samples * len(borel) * n * sum(f.dims[-1] for f in flags))
     if n * max(box, 1) * MOD_PRIME >= 2**63:
         raise TooLarge(
             "coefficient box %d too large for int64 residues at n = %d" % (box, n)
@@ -356,6 +367,7 @@ def is_spherical_module(
     borel = np.array(borel, dtype=np.int64).reshape(len(borel), n, n)
     if with_scalar:
         borel = np.concatenate([borel, np.eye(n, dtype=np.int64)[None]])
+    _check_cells(samples * len(borel) * n)
     bmax = int(np.abs(borel).max(initial=0))
     if n * max(bmax, 1) * max(box, 1) >= 2**63:
         raise TooLarge(

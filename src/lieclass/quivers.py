@@ -23,7 +23,10 @@ the quiver.
 
 Eigenvalues and monodromies are tracked as residues in Q/Z (the root of
 unity e^(2 pi i r)) or a generic tag; witness matrices for residue r live
-in the cyclotomic field of the denominator of r.
+in the cyclotomic field K = Q(zeta_m) of the denominator m of r.  Ranks
+over K go through linalg.Echelon by restriction of scalars (_absorb): v
+enters as the coordinate rows over Q, in the basis 1, zeta, ...,
+zeta^(phi(m)-1), of v, zeta v, ..., so no field element is ever divided.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from itertools import chain
 
 from .cyclotomic import CyclotomicField
 from .errors import BadParameter, ShapeMismatch, TooLarge
+from .linalg import Echelon, flatten
 from .tuples import MonodromyClass
 
 _SIMPLE_DIM_CAP = 12
@@ -188,7 +192,8 @@ def check_relations(r: QuiverRep) -> bool:
     n = r.spec.n
     # every xi and nu must be invertible: square, so of full rank
     for m in chain((r.xi(i) for i in range(1, n + 1)), (r.nu(i) for i in range(n))):
-        if _frank(m) != len(m):
+        ech = Echelon()
+        if not all(_absorb(ech, row) for row in m):
             return False
     if r.spec.kind == "A":
         return all(_feq(r.xi(i), r.nu(i)) for i in range(1, n))
@@ -198,16 +203,13 @@ def check_relations(r: QuiverRep) -> bool:
         xi, nu = r.xi(i), r.nu(i)
         if not _feq(_fmul(xi, xi), _fmul(nu, nu)):
             return False
-    for j in range(n):
-        if j + 1 <= n - 1:
-            if not _feq(_fmul(r.p[j], r.nu(j + 1)), _fneg(_fmul(r.nu(j), r.p[j]))):
+    # p_j op_{j+1} = -op_j p_j and q_j op_j = -op_{j+1} q_j for op = nu, xi
+    for op, js in ((r.nu, range(n - 1)), (r.xi, range(1, n))):
+        for j in js:
+            lo, hi, p, q = op(j), op(j + 1), r.p[j], r.q[j]
+            if not _feq(_fmul(p, hi), _fneg(_fmul(lo, p))):
                 return False
-            if not _feq(_fmul(r.q[j], r.nu(j)), _fneg(_fmul(r.nu(j + 1), r.q[j]))):
-                return False
-        if j >= 1:
-            if not _feq(_fmul(r.p[j], r.xi(j + 1)), _fneg(_fmul(r.xi(j), r.p[j]))):
-                return False
-            if not _feq(_fmul(r.q[j], r.xi(j)), _fneg(_fmul(r.xi(j + 1), r.q[j]))):
+            if not _feq(_fmul(q, lo), _fneg(_fmul(hi, q))):
                 return False
     return True
 
@@ -267,44 +269,42 @@ def _total_maps(r: QuiverRep):
     return maps
 
 
-def _frank(rows):
-    m = [row[:] for row in rows]
-    rank, ncols = 0, len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for rr in range(len(m)):
-            if rr != rank and m[rr][col]:
-                c = m[rr][col]
-                m[rr] = [x - c * y for x, y in zip(m[rr], m[rank])]
-        rank += 1
-    return rank
+def _absorb(ech, vec):
+    """Add the K-span of vec to ech, an Echelon of coordinate rows over Q
+    holding a K-stable span; True iff vec was new.  A K-stable span holds vec
+    iff it holds every zeta^k vec, so vec's own row decides, and the rows of
+    zeta vec, ..., zeta^(phi-1) vec keep the span K-stable."""
+    if not ech.absorb([c for x in vec for c in x.coeffs]):
+        return False
+    field = vec[0].field
+    zeta = field.zeta()
+    for _ in range(field.degree - 1):
+        vec = [zeta * x for x in vec]
+        ech.absorb([c for x in vec for c in x.coeffs])
+    return True
 
 
 def _spin(maps, vec, d):
-    """Span of the orbit of vec under repeated application of maps."""
+    """K-dimension of the span of the orbit of vec under the maps."""
+    ech = Echelon()
     basis = [vec]
-    changed = True
-    while changed:
-        changed = False
+    _absorb(ech, vec)
+    for v in basis:
         for m in maps:
-            for v in list(basis):
-                img = [
-                    sum((m[a][b] * v[b] for b in range(d) if v[b]), m[0][0] * 0)
-                    for a in range(d)
-                ]
-                if any(img):
-                    if _frank(basis + [img]) > len(basis):
-                        basis.append(img)
-                        changed = True
+            img = [
+                sum((m[a][b] * v[b] for b in range(d) if v[b]), m[0][0] * 0)
+                for a in range(d)
+            ]
+            if _absorb(ech, img):
+                basis.append(img)
     return len(basis)
 
 
 def is_simple(r: QuiverRep) -> bool:
+    """Exact for thin reps; otherwise False on a proper subrepresentation
+    spun from a basis vector, True when the arrows generate all of
+    End_K(V) (Burnside), and TooLarge when neither settles it or the total
+    dimension passes _SIMPLE_DIM_CAP."""
     d = r.total_dim
     if d == 0:
         return False
@@ -316,22 +316,18 @@ def is_simple(r: QuiverRep) -> bool:
     field = r.field
     # every standard basis vector must generate everything; any failure is
     # a genuine proper subrepresentation
-    for a in range(d):
-        vec = [field.one() if b == a else field.zero() for b in range(d)]
+    for vec in _fident(field, d):
         if _spin(maps, vec, d) < d:
             return False
     # remaining doubt only if the generated matrix algebra is not full
-    def flat(m):
-        return [x for row in m for x in row]
-
     frontier = list(maps)
-    span = [flat(_fident(field, d))]
+    span = Echelon()
+    _absorb(span, flatten(_fident(field, d)))
     while frontier:
         m = frontier.pop()
-        if _frank(span + [flat(m)]) > len(span):
-            span.append(flat(m))
+        if _absorb(span, flatten(m)):
             frontier.extend(_fmul(m, g) for g in maps)
-    if len(span) == d * d:
+    if len(span) == field.degree * d * d:
         return True
     raise TooLarge("cannot certify simplicity for this representation")
 

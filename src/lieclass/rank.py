@@ -1,12 +1,13 @@
 """Integer matrix rank: a mod-p numpy kernel and exact Bareiss elimination.
 
 Ranks over Q are computed here.  Exact bases come from linalg's one
-incremental echelon (linalg.Echelon, behind rref, nullspace and snmod's
-group-ring span), and quivers ranks over cyclotomic fields itself.  The
-oracle needs ranks that are bounded above by a known cap (the dimension
-of the variety or module being probed).  Reduction mod a
-31-bit prime can only lower the rank, so whenever the modular kernel
-reaches the cap the exact rank is certified without touching big integers.
+incremental echelon (linalg.Echelon, behind rref, nullspace, snmod's
+group-ring span and the quiver spans over cyclotomic fields), so rank_modp,
+rank_exact and Echelon are the package's only eliminations.  The oracle
+needs ranks that are bounded above by a known cap (the dimension of the
+variety or module being probed).  Reduction mod a 31-bit prime can only
+lower the rank, so whenever the modular kernel reaches the cap the exact
+rank is certified without touching big integers.
 Anything short of the cap is re-done with fraction-free Bareiss elimination
 over Python ints, which is exact for arbitrary entry sizes.
 

@@ -2,6 +2,7 @@ import pytest
 
 from lieclass import linalg
 from lieclass.algebras import (
+    MAX_MATRIX_SIZE,
     CatalogAlgebra,
     ModuleSpec,
     direct_sum,
@@ -11,7 +12,7 @@ from lieclass.algebras import (
     representation,
     summand_scalars,
 )
-from lieclass.errors import BadParameter, UnrecognizedShape
+from lieclass.errors import BadParameter, TooLarge, UnrecognizedShape
 from lieclass.oracle import is_spherical_module
 from lieclass.rank import rank_exact
 from lieclass.sphericaltable import (
@@ -113,6 +114,19 @@ class TestRepresentation:
         ops = summand_scalars(spec, [3])
         assert len(ops) == 2
         assert rank_exact([linalg.flatten(m) for m in ops]) == 2
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize("tag", ["gl", "sl", "so", "sp"])
+    def test_make_algebra_above_the_bound(self, tag):
+        with pytest.raises(TooLarge):
+            make_algebra(tag, MAX_MATRIX_SIZE + 2)
+
+    def test_representation_above_the_bound(self):
+        k = make_algebra("sl", 8)
+        assert representation([k], ModuleSpec([("wedge2", 0)])).n == 28
+        with pytest.raises(TooLarge):
+            representation([k], ModuleSpec([("sym2", 0)]))
 
 
 def table(fstr, summands, centers="entries", with_scalar=True):

@@ -105,6 +105,24 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--k", "sl(200)", "--dims", "1"],
+            ["oracle", "--k", "sl(32)", "--dims", "16", "--samples", "1000"],
+            ["oracle", "--k", "sl(32) on sym2"],
+            ["product", "--steps1", "40,40", "--steps2", "40,40", "--check"],
+            ["table", "--k", "sl(33) on C33"],
+            ["table", "--k", "sl(32) on sym2"],
+        ],
+    )
+    def test_size_above_the_cap_is_2(self, argv):
+        start = time.perf_counter()
+        code, text = run_capture(argv)
+        assert code == 2 and text.startswith("error:")
+        assert time.perf_counter() - start < 1.0
+
+
 class TestSeedEnv:
     def test_env_seed_used(self, monkeypatch):
         monkeypatch.setenv("LIECLASS_SEED", "41")

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from lieclass import linalg, oracle
-from lieclass.algebras import ModuleSpec, make_algebra, representation
+from lieclass.algebras import (
+    MAX_MATRIX_SIZE,
+    ModuleSpec,
+    make_algebra,
+    representation,
+)
 from lieclass.classifier import datum_algebra
 from lieclass.errors import BadSampleCount, DimensionMismatch, TooLarge
 from lieclass.oracle import (
@@ -152,6 +157,12 @@ class TestModuleOracle:
             is_spherical_module([make_algebra("sl", 3)],
                                 ModuleSpec([("natural", 0)]),
                                 samples=oracle.MAX_SAMPLES + 1)
+
+    def test_row_cells_capped(self):
+        # 1000 samples x (527 + 1) rows x 32 columns
+        with pytest.raises(TooLarge):
+            is_spherical_module([make_algebra("sl", 32)],
+                                ModuleSpec([("natural", 0)]), samples=1000)
 
 
 def _module_rows_reference(rep, with_scalar, samples, seed, box):
@@ -498,6 +509,25 @@ class TestFlagValidation:
         call = _entry_point_calls(4, FlagType((1,), flag_n), samples)[entry]
         with pytest.raises(error):
             call()
+
+
+class TestSizeBound:
+    def test_ambient_checked_before_the_borel_is_built(self):
+        def unbuilt():
+            raise AssertionError("the Borel must not be built")
+
+        with pytest.raises(TooLarge):
+            is_spherical_flag(unbuilt, FlagType((1,), MAX_MATRIX_SIZE + 1))
+        with pytest.raises(TooLarge):
+            product_flag_complexity(
+                80, FlagType((40,), 80), FlagType((40,), 80)
+            )
+
+    def test_residue_cells_capped(self):
+        # 1000 samples x 528 Borel elements x 32 x 16 products y L
+        k = make_algebra("gl", 32)
+        with pytest.raises(TooLarge):
+            is_spherical_flag(k, FlagType((16,), 32), samples=1000)
 
 
 class TestCertificates:

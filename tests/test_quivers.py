@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lieclass.cyclotomic import CyclotomicField
 from lieclass.errors import BadParameter, ShapeMismatch, TooLarge
+from lieclass.linalg import Echelon
 from lieclass.quivers import (
     QuiverRep,
     QuiverSpec,
+    _absorb,
     check_relations,
     count_P,
     enumerate_simples,
@@ -77,6 +81,19 @@ class TestCheckRelations:
         )
         assert not check_relations(bad)
 
+    def test_singular_2x2_xi_rejected(self):
+        spec = QuiverSpec("A", 1)
+        ident = [[1, 0], [0, 1]]
+        # qp = [[0, 1], [1, 0]]: xi = [[1, 1], [1, 1]] over Q
+        r = QuiverRep(spec, [2, 2], [ident], [[[0, 1], [1, 0]]])
+        assert not check_relations(r)
+        # xi = [[1, i], [i, -1]] over Q(i): its rows are independent over Q
+        # but the second is i times the first
+        f = CyclotomicField(4)
+        i = f.zeta()
+        r = QuiverRep(spec, [2, 2], [ident], [[[0, i], [i, -2]]], field=f)
+        assert not check_relations(r)
+
     def test_shape_mismatch(self):
         spec = QuiverSpec("A", 1)
         with pytest.raises(ShapeMismatch):
@@ -106,6 +123,100 @@ class TestIsSimple:
         r = QuiverRep(spec, [d, d], [ident], [ident])
         with pytest.raises(TooLarge):
             is_simple(r)
+
+
+class TestNonThin:
+    """is_simple on reps with a vertex of dimension 2: spin, then Burnside."""
+
+    ident = [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_diagonal_loop_splits(self, m):
+        r = QuiverRep(
+            QuiverSpec("A", 1), [2, 2], [self.ident], [[[2, 0], [0, 3]]],
+            field=CyclotomicField(m),
+        )
+        assert check_relations(r)
+        assert not is_simple(r)
+
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    def test_rotation_loop_is_undecided(self, m):
+        # every block of the generated algebra is a polynomial in the
+        # rotation: 8 dimensions, not the 16 of End_K(V), so Burnside
+        # cannot certify; and no basis vector spins a proper
+        # subrepresentation, though over Q(zeta_4) the rep splits
+        r = QuiverRep(
+            QuiverSpec("A", 1), [2, 2], [self.ident], [[[0, -1], [1, 0]]],
+            field=CyclotomicField(m),
+        )
+        assert check_relations(r)
+        with pytest.raises(TooLarge):
+            is_simple(r)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_dims_1_2_1_simple(self, m):
+        r = QuiverRep(
+            QuiverSpec("A", 2),
+            [1, 2, 1],
+            [[[0, 1]], [[0], [1]]],
+            [[[1], [0]], [[1, 0]]],
+            field=CyclotomicField(m),
+        )
+        assert is_simple(r)
+
+
+def _k_rank(rows):
+    """Rank over K by Gauss elimination without division: a row is replaced
+    by pivot * row - entry * pivot row, which keeps the rank since the pivot
+    is a nonzero field element."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [prow[c] * x - f * y for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def k_matrices(draw):
+    """Small matrices over Q(zeta_m); square ones sometimes, and sometimes
+    a last row that is a K-combination of the others."""
+    field = CyclotomicField(draw(st.sampled_from([1, 3, 4, 5, 8, 12])))
+    ncols = draw(st.integers(1, 4))
+    nrows = ncols if draw(st.booleans()) else draw(st.integers(1, 4))
+
+    def elem():
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+        return field.element(coeffs) * field.zeta(draw(st.integers(0, 11)))
+
+    rows = [[elem() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        coefs = [elem() for _ in range(nrows - 1)]
+        rows[-1] = [
+            sum((c * row[j] for c, row in zip(coefs, rows)), field.zero())
+            for j in range(ncols)
+        ]
+    return field, rows
+
+
+class TestAbsorb:
+    @settings(max_examples=80)
+    @given(k_matrices())
+    def test_matches_division_free_gauss(self, case):
+        field, rows = case
+        ech = Echelon()
+        for i, row in enumerate(rows):
+            grew = _k_rank(rows[: i + 1]) > (_k_rank(rows[:i]) if i else 0)
+            assert _absorb(ech, row) == grew
+        assert len(ech) == field.degree * _k_rank(rows)
 
 
 class TestEnumerate:
