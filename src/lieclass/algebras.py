@@ -12,6 +12,8 @@ size above MAX_MATRIX_SIZE before building a matrix.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import linalg
 from .errors import BadParameter, MismatchedSize, TooLarge
 from .rank import rank_capped, rank_exact
@@ -418,35 +420,71 @@ def scalar_on_summands(spec: ModuleSpec, factor_sizes, weights):
 
 
 def _normalizer_system(mats, n):
-    """Linear system for the normalizer of U = span(mats) in gl_n.
+    """Gram matrix of the linear system for the normalizer of U = span(mats)
+    in gl_n.
 
-    Returns (ann, rows): ann is an integer basis of the annihilator of U
-    (n^2 - dim U functionals), and x normalizes U exactly when
-    f([x, s]) = 0 for every generator s and every f in ann, one row per
-    pair.  Every generator contributes rows, not only a basis of U: the rows
-    of a dependent generator are combinations of rows already present, so
-    the row space, and with it the normalizer, is the same."""
+    Returns (ann, gram).  ann is an integer basis of the annihilator of U
+    (n^2 - dim U functionals), and x normalizes U exactly when f([x, s]) = 0
+    for every generator s and every f in ann.  Those equations are the rows
+    of a system A over the n^2 entries of x, one row per pair; every
+    generator contributes rows, not only a basis of U (the rows of a
+    dependent generator are combinations of rows already present).
+    gram = A^T A has the same row space as A, because x^T A^T A x = |Ax|^2,
+    so it has the same rank and nullspace while its size, n^2 x n^2, does
+    not grow with the number of rows.  It is returned as lists of ints, and
+    as [] when A has no rows (no generators, or U = gl_n).
+
+    A is never formed: for each generator s the block F s^T - s^T F of its
+    rows is formed in int64 (F is the stack of ann as n x n matrices), one
+    term per nonzero entry of s, and block^T block is added in float64
+    through BLAS, on the columns the block touches.  The float sum is exact
+    while len(mats) * len(ann) * max|block entry|^2 < 2^53, because every
+    product and every partial sum is then an integer below 2^53; TooLarge
+    is raised beyond that bound, and when an int64 block entry could reach
+    2 n max|f| max|s| >= 2^63."""
     ann = linalg.nullspace([linalg.flatten(m) for m in mats], n * n)
-    rows = []
+    if not mats or not ann:
+        return ann, []
+    fmax = max(abs(x) for f in ann for x in f)
+    smax = max(abs(x) for s in mats for row in s for x in row)
+    if 2 * n * fmax * smax >= 2**63:
+        raise TooLarge("normalizer system entries overflow int64")
+    terms = len(mats) * len(ann)
+    fs = np.array(ann, dtype=np.int64).reshape(len(ann), n, n)
+    gram = np.zeros((n * n, n * n))
+    top = 0
     for s in mats:
-        st = [[s[j][i] for j in range(n)] for i in range(n)]
-        for f in ann:
-            fm = [f[i * n : (i + 1) * n] for i in range(n)]
-            c = linalg.matmul(fm, st)
-            d = linalg.matmul(st, fm)
-            rows.append([c[i][j] - d[i][j] for i in range(n) for j in range(n)])
-    return ann, rows
+        # F s^T - s^T F, one term per nonzero v = s[j][k]: it adds
+        # v F[:, :, k] to column j of every f and subtracts v F[:, j, :]
+        # from row k
+        block = np.zeros_like(fs)
+        for j, k in zip(*np.nonzero(s)):
+            v = s[j][k]
+            block[:, :, j] += v * fs[:, :, k]
+            block[:, k, :] -= v * fs[:, j, :]
+        block = block.reshape(len(ann), n * n)
+        top = max(top, int(np.abs(block).max()))
+        if terms * top * top >= 2**53:
+            raise TooLarge("normalizer Gram entries exceed exact float64 sums")
+        # only the columns the block touches change
+        cols = np.flatnonzero(block.any(axis=0))
+        sub = block[:, cols].astype(np.float64)
+        gram[np.ix_(cols, cols)] += sub.T @ sub
+    return ann, gram.astype(np.int64).tolist()
 
 
 def normalizer_in_gl(k: CatalogAlgebra, extra_center=()) -> CatalogAlgebra:
     """Normalizer of span(k.basis + extra_center) in gl_n; its basis is the
-    primitive integer nullspace basis of the normalizer system."""
+    primitive integer nullspace basis of the normalizer system, read off the
+    system's Gram matrix (same nullspace, and the basis is canonical, so it
+    is the one the rows themselves give).  Raises TooLarge past the Gram
+    matrix's exactness bound (see _normalizer_system)."""
     n = k.n
     for m in extra_center:
         if len(m) != n:
             raise MismatchedSize("extra center operator of wrong size")
-    _, rows = _normalizer_system(list(k.basis) + list(extra_center), n)
-    sol = linalg.nullspace(rows, n * n)
+    _, gram = _normalizer_system(list(k.basis) + list(extra_center), n)
+    sol = linalg.nullspace(gram, n * n)
     basis = [[v[i * n : (i + 1) * n] for i in range(n)] for v in sol]
     meta = {"type": "normalizer", "rank": None, "factors": k.meta.get("factors")}
     return CatalogAlgebra(basis, [], n, meta)
@@ -455,13 +493,16 @@ def normalizer_in_gl(k: CatalogAlgebra, extra_center=()) -> CatalogAlgebra:
 def normalizer_dim(k_basis, extra_center=(), n=None):
     """dim of the normalizer of span(k_basis + extra_center) in gl_n.
 
-    The normalizer contains the span, so the system has rank at most
-    n^2 - dim span = len(ann); the capped-rank fast path certifies that
-    rank with the modular kernel alone, and exact Bareiss runs only when
-    the normalizer is strictly larger than the span.
+    The span must be a Lie subalgebra (the table passes k plus central
+    operators).  Then the normalizer contains it, so the system has rank
+    at most n^2 - dim span = len(ann).  Its rank is that of its n^2 x n^2
+    Gram matrix, whose float64 assembly is exact below 2^53 (TooLarge
+    beyond; see _normalizer_system); the capped-rank fast path certifies
+    the rank with the modular kernel alone, and exact Bareiss runs, on the
+    Gram matrix, only when the normalizer is strictly larger than the span.
     """
     mats = list(k_basis) + list(extra_center)
     if mats:
         n = len(mats[0])
-    ann, rows = _normalizer_system(mats, n)
-    return n * n - rank_capped(rows, len(ann))
+    ann, gram = _normalizer_system(mats, n)
+    return n * n - rank_capped(gram, len(ann))

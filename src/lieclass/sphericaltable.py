@@ -28,7 +28,6 @@ from .algebras import (
     summand_scalars,
 )
 from .errors import UnrecognizedShape
-from .rank import rank_exact
 
 # Verbatim table data: (id, pair description, centers, constraints).
 TABLE_ENTRIES = [
@@ -489,7 +488,7 @@ def is_spherical_module_by_table(
         if with_scalar:
             extra.append(linalg.identity(rep.n))
     span = [list(map(list, m)) for m in rep.basis] + extra
-    dim_u = rank_exact([linalg.flatten(m) for m in span])
+    dim_u = len(linalg.rref([linalg.flatten(m) for m in span])[1])
     ok = normalizer_dim(span, (), rep.n) == dim_u
     return TableVerdict(
         ok,
