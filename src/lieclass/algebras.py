@@ -495,11 +495,13 @@ def normalizer_dim(k_basis, extra_center=(), n=None):
 
     The span must be a Lie subalgebra (the table passes k plus central
     operators).  Then the normalizer contains it, so the system has rank
-    at most n^2 - dim span = len(ann).  Its rank is that of its n^2 x n^2
-    Gram matrix, whose float64 assembly is exact below 2^53 (TooLarge
-    beyond; see _normalizer_system); the capped-rank fast path certifies
-    the rank with the modular kernel alone, and exact Bareiss runs, on the
-    Gram matrix, only when the normalizer is strictly larger than the span.
+    at most n^2 - dim span = len(ann); a span found to break that bound is
+    not bracket-closed, and CapExceeded is raised.  Its rank is that of
+    its n^2 x n^2 Gram matrix, whose float64 assembly is exact below 2^53
+    (TooLarge beyond; see _normalizer_system); the capped-rank fast path
+    certifies the rank with the modular kernel alone, and exact Bareiss
+    runs, on the Gram matrix, only when the normalizer is strictly larger
+    than the span.
     """
     mats = list(k_basis) + list(extra_center)
     if mats:

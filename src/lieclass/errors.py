@@ -54,6 +54,11 @@ class ShapeMismatch(LieclassError):
     """Quiver representation maps do not match the dimension vector."""
 
 
+class CapExceeded(LieclassError):
+    """A rank known in advance to be at most a cap was found above it: the
+    premise of the cap (a span closed under the bracket, say) is false."""
+
+
 class TooLarge(LieclassError):
     """Input exceeds a hard search bound (a rank, size or coefficient cap)."""
 

@@ -5,9 +5,23 @@ an integer constraint matrix, so sphericity of a flag variety or module is
 decided by sampling points and comparing the best rank against the variety
 dimension; by Schwartz-Zippel a point drawn from the coefficient box misses
 the generic rank only with small probability.  A rank mod p can only
-undercount, so reaching the dimension mod p certifies a Yes outright, and
-the single best sample of a failing run is recomputed with exact Bareiss
-elimination, so every reported rank is exact.
+undercount, so reaching the dimension mod p certifies a Yes outright.
+
+Every ProbablyNo reports the exact rank r at its best sample.  The columns
+of the constraint matrix are the m Borel basis elements, and its kernel
+over Q is the stabilizer algebra b_x of the point, so r = m - dim b_x.  The
+proof is a stabilizer certificate: the mod-p kernel of the best sample's
+echelon form (kept from the scan) has m - r_p vectors, each 1 at its own
+free column and 0 at the others; each is lifted to a primitive integer
+vector v by rational reconstruction and checked exactly to lie in b_x.  For
+a flag, Y = sum v_b y_b must fix every flag of the sample: the chart
+entries of g^-1 Y g vanish (a scalar Y passes unconjugated).  For a module,
+sum v_b (y_b . w) = 0 over Z.  When every lift passes, r = r_p: r >= r_p
+always, and the lifts are independent, each reducing to a unit multiple of
+its mod-p vector (every denominator is below p), so r <= m - (m - r_p).
+When a kernel entry does not reconstruct from one prime, or a lift fails
+its check, the best sample's exact rows are ranked by Bareiss elimination,
+which may still find a Yes.
 
 Points on a flag variety G/P are sampled in its big cell N^-_P . P/P, the
 open affine chart given by the Bruhat decomposition: g = L is unit lower
@@ -26,13 +40,14 @@ whole Borel basis is one (samples, m, n, dmax) array, L^-1 is applied by
 forward substitution so that every product is a box-sized entry of L
 times a residue (no int64 overflow), and the rows are gathered at the
 chart coordinates, the entries of g^-1 y g that must vanish, so each flag
-gives dim G/P rows.  Exact integers remain in two places only: the
-point g, g^-1 of a Yes certificate or of the best failing sample, formed
-from L when first read, and that failing sample's rows for Bareiss, built
-from the nonzero entries of each Borel matrix.  The module oracle draws
-all its points at once, forms its rows as one int64 product and reduces
-them mod p.  A call whose int64 arrays would pass MAX_CELLS is refused
-with TooLarge before anything is drawn.
+gives dim G/P rows.  Exact integers remain in three places only: the
+point g, g^-1 of a Yes certificate, formed from L when first read, the
+stabilizer check L^-1 (Y L) of the best failing sample, and, when that
+check cannot prove the rank, that sample's rows for Bareiss, built from
+the nonzero entries of each Borel matrix.  The module oracle draws all its
+points at once, forms its rows as one int64 product and reduces them mod
+p.  A call whose int64 arrays would pass MAX_CELLS is refused with
+TooLarge before anything is drawn.
 """
 
 from __future__ import annotations
@@ -50,7 +65,7 @@ from .errors import (
     TooLarge,
 )
 from .partitions import FlagType
-from .rank import MOD_PRIME, rank_exact, rank_modp
+from .rank import MOD_PRIME, kernel_modp, lift_vector, rank_exact, rank_modp
 
 COEFF_BOX = 10_000
 DEFAULT_SAMPLES = 5
@@ -226,7 +241,7 @@ def _flag_residues(borel, points, flags, p=MOD_PRIME):
     n * box * p < 2^63.
     """
     n, m = flags[0].ambient, len(borel)
-    borel = np.array(borel, dtype=np.int64).reshape(m, n, n) % p
+    borel = np.asarray(borel, dtype=np.int64).reshape(m, n, n) % p
     blocks = []
     for f, flag in enumerate(flags):
         rr, kk = np.divmod(_chart_index(n, flag.dims), n)
@@ -256,22 +271,29 @@ def borel_orbit_dim_at(b, x: FlagPoint):
     return rank_exact(rows)
 
 
-def _scan(target, residues, exact_rows, certificate, samples, seed):
+def _scan(target, residues, exact_rows, certificate, stabilizes, samples, seed):
     """Shared max-rank loop: modular rank per sample, Yes on certification,
-    exact recomputation at the best sample otherwise.
+    otherwise the exact rank at the best sample, proved by a stabilizer
+    certificate or, failing that, by Bareiss.
 
-    residues(i) is the constraint matrix of sample i mod p, exact_rows(i)
-    the same matrix over Z (asked for the best failing sample only), and
-    certificate(i) the point a Yes at sample i carries."""
-    best_rank, best_index = -1, -1
+    residues(i) is the constraint matrix of sample i mod p, one column per
+    Borel basis element, exact_rows(i) the same map over Z (asked for only
+    when the certificate fails), certificate(i) the point a Yes at sample
+    i carries, and stabilizes(i, v) whether the integer combination v of
+    the Borel basis lies in the stabilizer of sample i, checked exactly."""
+    best_rank, best_index, best = -1, -1, None
     for idx in range(samples):
-        rp = rank_modp(residues(idx))
+        res = residues(idx)
+        echelon = np.empty(res.shape, dtype=np.int64)
+        rp = rank_modp(res, out=echelon)
         if rp >= target:
             return OracleVerdict(
                 "Yes", target, target, samples, seed, certificate(idx)
             )
         if rp > best_rank:
-            best_rank, best_index = rp, idx
+            best_rank, best_index, best = rp, idx, echelon
+    if _stabilizer_certified(best, best_rank, partial(stabilizes, best_index)):
+        return OracleVerdict("ProbablyNo", best_rank, target, samples, seed)
     rows = exact_rows(best_index)
     exact = rank_exact(rows) if rows and rows[0] else 0
     if exact >= target:
@@ -279,6 +301,52 @@ def _scan(target, residues, exact_rows, certificate, samples, seed):
             "Yes", target, target, samples, seed, certificate(best_index)
         )
     return OracleVerdict("ProbablyNo", exact, target, samples, seed)
+
+
+def _stabilizer_certified(echelon, rank, stabilizes):
+    """Whether the mod-p rank of an echelon form is the exact rank: every
+    mod-p kernel vector lifts (lift_vector) to an integer vector that
+    stabilizes() confirms over Z.
+
+    The rank over Q is never below the rank mod p, and k exact kernel
+    vectors bound it by m - k from above once they are independent.  They
+    are: each lift reduces to a unit multiple of its mod-p vector, which
+    is 1 at its own free column and 0 at the others."""
+    lifts = []
+    for v in kernel_modp(echelon, rank=rank):
+        w = lift_vector(v)
+        if w is None:
+            return False
+        lifts.append(w)
+    return all(stabilizes(w) for w in lifts)
+
+
+def _flag_stabilizes(mats, points):
+    """stabilizes(i, v) of the flag scan: Y = sum v_b y_b fixes every flag
+    of sample i, that is, the chart entries of g^-1 Y g all vanish, found
+    exactly as L^-1 (Y L) by forward substitution.  A scalar Y fixes every
+    flag without conjugating."""
+    n = mats.shape[1]
+
+    def stabilizes(i, v):
+        v = np.array(v, dtype=object)
+        nz = np.flatnonzero(v)
+        y = np.dot(v[nz], mats[nz].reshape(len(nz), -1).astype(object))
+        y = y.reshape(n, n)
+        if not np.count_nonzero(y - np.diag([y[0, 0]] * n)):
+            return True
+        for x in points[i]:
+            rr, kk = np.divmod(_chart_index(n, x.dims), n)
+            hi = max(x.dims)
+            lower = x.lower.astype(object)
+            a = np.dot(y, lower[:, :hi])
+            for j in range(hi):
+                a[j + 1 :] -= lower[j + 1 :, j, None] * a[j]
+            if np.count_nonzero(a[rr, kk]):
+                return False
+        return True
+
+    return stabilizes
 
 
 def _flag_verdict(n, k, flags, samples, seed, box):
@@ -310,7 +378,8 @@ def _flag_verdict(n, k, flags, samples, seed, box):
         tuple(sample_flag_point(f, rng, box) for f in flags)
         for _ in range(samples)
     ]
-    residues = _flag_residues(borel, points, flags)
+    mats = np.array(borel, dtype=np.int64).reshape(len(borel), n, n)
+    residues = _flag_residues(mats, points, flags)
 
     def exact_rows(i):
         return [row for x in points[i] for row in _constraint_rows(borel, x)]
@@ -321,6 +390,7 @@ def _flag_verdict(n, k, flags, samples, seed, box):
         residues.__getitem__,
         exact_rows,
         certificates.__getitem__,
+        _flag_stabilizes(mats, points),
         samples,
         seed,
     )
@@ -377,12 +447,18 @@ def is_spherical_module(
     points = rng.integers(-box, box + 1, size=(samples, n))
     # rows[s, b] = borel[b] . points[s], every partial sum below 2^63
     rows = np.matmul(borel, points.T).transpose(2, 0, 1)
-    residues = rows % MOD_PRIME
+    # the scan ranks the transpose: one column per Borel basis element
+    residues = rows.transpose(0, 2, 1) % MOD_PRIME
+
+    def stabilizes(i, v):
+        return not np.count_nonzero(np.dot(v, rows[i].astype(object)))
+
     return _scan(
         n,
         residues.__getitem__,
         lambda i: rows[i].tolist(),
         points.tolist().__getitem__,
+        stabilizes,
         samples,
         seed,
     )

@@ -14,7 +14,12 @@ from __future__ import annotations
 import enum
 from functools import total_ordering
 
-from .errors import BadParameter, MismatchedSize
+from .errors import BadParameter, MismatchedSize, TooLarge
+
+# Largest flag ambient accepted: flag_order and the classifier take time
+# linear in it (about 0.1 s at the bound), and the oracle's own bound,
+# algebras.MAX_MATRIX_SIZE, is far below it.
+MAX_AMBIENT = 10_000
 
 
 @total_ordering
@@ -72,6 +77,10 @@ class FlagType:
     def __init__(self, dims, ambient):
         dims = tuple(int(d) for d in dims)
         ambient = int(ambient)
+        if ambient > MAX_AMBIENT:
+            raise TooLarge(
+                "flag ambient %d exceeds the bound %d" % (ambient, MAX_AMBIENT)
+            )
         if not dims:
             raise BadParameter("flag needs at least one subspace dimension")
         if dims[0] < 1 or dims[-1] >= ambient:

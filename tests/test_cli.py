@@ -114,12 +114,30 @@ class TestExitCodes:
             ["product", "--steps1", "40,40", "--steps2", "40,40", "--check"],
             ["table", "--k", "sl(33) on C33"],
             ["table", "--k", "sl(32) on sym2"],
+            ["order", "--flag1", "1", "--flag2", "2", "--n", "3000000"],
+            ["order", "--flag1", "1", "--flag2", "2", "--n", "10001"],
+            ["classify", "--dims", "1", "--k", "sl(2)", "--trivial", "3000000"],
+            ["classify", "--dims", "2", "--k", "sl(2)", "--trivial", "9999"],
         ],
     )
     def test_size_above_the_cap_is_2(self, argv):
         start = time.perf_counter()
         code, text = run_capture(argv)
         assert code == 2 and text.startswith("error:")
+        assert time.perf_counter() - start < 1.0
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["order", "--flag1", "1", "--flag2", "2", "--n", "10000"],
+            ["classify", "--dims", "2", "--k", "sl(2)", "--trivial", "9998"],
+        ],
+    )
+    def test_ambient_at_the_cap_is_answered(self, argv):
+        start = time.perf_counter()
+        code, _ = run_capture(argv)
+        assert code == 0
         assert time.perf_counter() - start < 1.0
 
 

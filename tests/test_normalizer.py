@@ -23,7 +23,7 @@ from lieclass.algebras import (
     representation,
     summand_scalars,
 )
-from lieclass.errors import TooLarge
+from lieclass.errors import CapExceeded, TooLarge
 from lieclass.rank import rank_exact
 from lieclass.sphericaltable import is_spherical_module_by_table
 
@@ -257,3 +257,12 @@ class TestExactnessBound:
         mats = [[[0, 2**61], [0, 0]]]
         with pytest.raises(TooLarge):
             _normalizer_system(mats, 2)
+
+
+def test_span_not_closed_under_the_bracket_raises():
+    """[E12, E21] = H is outside span(E12, I, E21): the system has rank 2,
+    above the cap n^2 - dim span = 1, so there is no normalizer dimension
+    to return."""
+    e12, e21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    with pytest.raises(CapExceeded):
+        normalizer_dim([e12, linalg.identity(2), e21], (), 2)

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lieclass.algebras import (
     representation,
 )
 from lieclass.classifier import datum_algebra
+from lieclass.cli import parse_algebra_module
 from lieclass.errors import BadSampleCount, DimensionMismatch, TooLarge
 from lieclass.oracle import (
     COEFF_BOX,
@@ -28,8 +30,8 @@ from lieclass.oracle import (
     product_flag_complexity,
     sample_flag_point,
 )
-from lieclass.partitions import FlagType
-from lieclass.rank import MOD_PRIME, reduce_mod
+from lieclass.partitions import FlagType, canonical_flag
+from lieclass.rank import MOD_PRIME, rank_exact, reduce_mod
 
 
 class TestFlagPoint:
@@ -203,9 +205,11 @@ class TestModuleRows:
         spec = ModuleSpec(summands)
         seen, scan = {}, oracle._scan
 
-        def spy(target, residues, exact_rows, certificate, samples, seed):
+        def spy(target, residues, exact_rows, certificate, stabilizes, samples, seed):
             seen.update(residues=residues, exact_rows=exact_rows, cert=certificate)
-            return scan(target, residues, exact_rows, certificate, samples, seed)
+            return scan(
+                target, residues, exact_rows, certificate, stabilizes, samples, seed
+            )
 
         monkeypatch.setattr(oracle, "_scan", spy)
         is_spherical_module(ks, spec, with_scalar, samples=4, seed=9, box=COEFF_BOX)
@@ -215,7 +219,8 @@ class TestModuleRows:
         for i in range(4):
             assert seen["cert"](i) == points[i]
             assert seen["exact_rows"](i) == rows[i]
-            assert seen["residues"](i).tolist() == [
+            # the scan ranks the transpose: one column per Borel element
+            assert seen["residues"](i).T.tolist() == [
                 [x % MOD_PRIME for x in row] for row in rows[i]
             ]
 
@@ -558,3 +563,137 @@ class TestCertificates:
                 assert (again.kind, again.rank) == ("ProbablyNo", v.rank)
                 no += 1
         assert yes > 10 and no > 10
+
+
+class TestStabilizerCertificate:
+    """A ProbablyNo rank proved by lifted stabilizer vectors is the exact
+    rank of the best sample's rows; anything the exact check rejects falls
+    back to Bareiss with the same rank."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Spy on the scan: per call, the exact-row callback, the index of
+        the best sample and whether its certificate held."""
+        calls, scan, certified = [], oracle._scan, oracle._stabilizer_certified
+
+        def scan_spy(target, residues, exact_rows, *rest):
+            calls.append({"exact_rows": exact_rows})
+            return scan(target, residues, exact_rows, *rest)
+
+        def certified_spy(echelon, rank, stabilizes):
+            ok = certified(echelon, rank, stabilizes)
+            calls[-1].update(index=stabilizes.args[0], certified=ok)
+            return ok
+
+        monkeypatch.setattr(oracle, "_scan", scan_spy)
+        monkeypatch.setattr(oracle, "_stabilizer_certified", certified_spy)
+        return calls
+
+    @staticmethod
+    def _check(calls, verdicts):
+        proved = 0
+        for call, v in zip(calls, verdicts, strict=True):
+            if call.get("certified"):
+                assert v.kind == "ProbablyNo"
+                assert v.rank == rank_exact(call["exact_rows"](call["index"]))
+                proved += 1
+        return proved
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_product_and_levi_pairs(self, monkeypatch, seed):
+        from test_acceptance import step_multisets
+
+        calls, verdicts = self._record(monkeypatch), []
+        for n in range(2, 7):
+            ms = step_multisets(n)
+            for a, b in itertools.combinations_with_replacement(ms, 2):
+                f1, f2 = canonical_flag(a, n), canonical_flag(b, n)
+                borels = [(partial(_gl_borel, n), (f1, f2))] + [
+                    (partial(levi_borel, n, y), (x,)) for x, y in ((f1, f2), (f2, f1))
+                ]
+                for borel, flags in borels:
+                    verdicts.append(
+                        oracle._flag_verdict(n, borel, flags, 5, seed, COEFF_BOX)
+                    )
+        assert self._check(calls, verdicts) > 100
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_criterion_1_probably_no(self, monkeypatch, seed):
+        from test_acceptance import small_data
+
+        calls, verdicts, cache = self._record(monkeypatch), [], {}
+        for d in small_data(range(2, 7)):
+            key = (d.factors, d.trivial)
+            if key not in cache:
+                cache[key] = datum_algebra(d)
+            verdicts.append(is_spherical_flag(cache[key], d.flag, seed=seed))
+        assert self._check(calls, verdicts) > 100
+
+    def test_forged_lift_is_rejected_and_bareiss_decides(self, monkeypatch):
+        # two full flags of C^4 under the gl_4 Borel: the kernel is the scalars
+        full = FlagType((1, 2, 3), 4)
+
+        def verdict():
+            gl = partial(_gl_borel, 4)
+            return oracle._flag_verdict(4, gl, (full, full), 5, 2, COEFF_BOX)
+
+        honest = verdict()
+        assert (honest.kind, honest.rank, honest.target) == ("ProbablyNo", 9, 12)
+        lift, exact_calls = oracle.lift_vector, []
+
+        def forged(v):
+            w = lift(v)
+            return None if w is None else [x + 1 for x in w]
+
+        def counted(rows):
+            exact_calls.append(len(rows))
+            return rank_exact(rows)
+
+        stabilizes = oracle._flag_stabilizes
+        rejected = []
+
+        def watched(mats, points):
+            check = stabilizes(mats, points)
+
+            def spy(i, v):
+                ok = check(i, v)
+                rejected.append(not ok)
+                return ok
+
+            return spy
+
+        monkeypatch.setattr(oracle, "lift_vector", forged)
+        monkeypatch.setattr(oracle, "rank_exact", counted)
+        monkeypatch.setattr(oracle, "_flag_stabilizes", watched)
+        v = verdict()
+        assert rejected == [True] and exact_calls
+        assert (v.kind, v.rank, v.target) == (honest.kind, honest.rank, honest.target)
+
+    def test_module_with_empty_kernel_needs_no_bareiss(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("Bareiss ran")
+
+        monkeypatch.setattr(oracle, "rank_exact", refuse)
+        factors, spec = parse_algebra_module("so(5) on C5+C5")
+        v = is_spherical_module([make_algebra(*f) for f in factors], spec)
+        assert (v.kind, v.rank, v.target) == ("ProbablyNo", 7, 10)
+
+    def test_module_with_large_kernel_falls_back_to_bareiss(self, monkeypatch):
+        exact_calls, kernels = [], []
+        kernel = oracle.kernel_modp
+
+        def counted(rows):
+            exact_calls.append(len(rows))
+            return rank_exact(rows)
+
+        def kernel_spy(a, rank=None):
+            out = kernel(a, rank=rank)
+            kernels.append(len(out))
+            return out
+
+        monkeypatch.setattr(oracle, "rank_exact", counted)
+        monkeypatch.setattr(oracle, "kernel_modp", kernel_spy)
+        factors, spec = parse_algebra_module("sl(10) on C10+C10+C10")
+        v = is_spherical_module([make_algebra(*f) for f in factors], spec)
+        assert (v.kind, v.rank, v.target) == ("ProbablyNo", 27, 30)
+        assert kernels == [28] and len(exact_calls) == 1

@@ -1,16 +1,20 @@
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieclass import linalg
+from lieclass.errors import CapExceeded
 from lieclass.rank import (
     MOD_PRIME,
+    kernel_modp,
+    lift_vector,
     rank_capped,
     rank_exact,
     rank_modp,
+    rational_lift,
     reduce_mod,
 )
 
@@ -54,7 +58,13 @@ class TestRank:
     def test_capped_certifies(self):
         rows = linalg.identity(5)
         assert rank_capped(rows, 5) == 5
-        assert rank_capped(rows, 3) >= 3
+
+    def test_rank_above_the_cap_raises(self):
+        with pytest.raises(CapExceeded):
+            rank_capped(linalg.identity(5), 3)
+        # Bareiss finds the excess when the mod-p rank stays below the cap
+        with pytest.raises(CapExceeded):
+            rank_capped([[MOD_PRIME, 0], [0, MOD_PRIME]], 1)
 
     @pytest.mark.parametrize(
         "rows",
@@ -101,6 +111,92 @@ class TestRank:
                 raise AssertionError(q)
             if q * q > MOD_PRIME:
                 break
+
+
+residue_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.integers(0, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(
+                st.one_of(st.integers(-3, 3), st.integers(0, MOD_PRIME - 1)),
+                min_size=m,
+                max_size=m,
+            ),
+            min_size=n,
+            max_size=n,
+        ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(n, m))
+    )
+)
+
+
+class TestKernelModp:
+    @given(residue_matrices)
+    @settings(max_examples=200)
+    def test_kernel_basis(self, a):
+        rows, cols = a.shape
+        vs = kernel_modp(a)
+        assert vs.shape == (cols - rank_modp(a), cols)
+        for v in vs.tolist():
+            for row in a.tolist():
+                assert sum(x * y for x, y in zip(row, v)) % MOD_PRIME == 0
+        # a column is free when it does not raise the rank of those before it;
+        # vector t is 1 at the t-th free column and 0 at the other free ones
+        free = [
+            c for c in range(cols)
+            if _rank_modp_reference(a[:, : c + 1].tolist())
+            == _rank_modp_reference(a[:, :c].tolist())
+        ]
+        assert vs[:, free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+
+    @given(residue_matrices)
+    @settings(max_examples=100)
+    def test_kernel_of_kept_echelon_form(self, a):
+        echelon = np.empty(a.shape, dtype=np.int64)
+        r = rank_modp(a, out=echelon)
+        assert np.array_equal(kernel_modp(echelon, rank=r), kernel_modp(a))
+
+
+def _lift_bound():
+    return isqrt((MOD_PRIME - 1) // 2)
+
+
+class TestRationalLift:
+    @given(st.integers(-_lift_bound(), _lift_bound()), st.integers(1, _lift_bound()))
+    @settings(max_examples=300)
+    def test_round_trip_inside_the_bound(self, a, b):
+        f = Fraction(a, b)
+        u = f.numerator * pow(f.denominator, -1, MOD_PRIME) % MOD_PRIME
+        assert rational_lift(u) == (f.numerator, f.denominator)
+
+    # Past the bound N no fraction of numerator and denominator <= N can
+    # share the residue of a/b when |a| N + b N < p: that would force
+    # a'b = ab' over Z.  So for |a| <= 100 and N < b <= 1.9 N (or the
+    # other way round) the lift must be None.
+    @given(
+        st.integers(-100, 100),
+        st.integers(_lift_bound() + 1, 19 * _lift_bound() // 10),
+    )
+    @settings(max_examples=200)
+    def test_none_past_the_denominator_bound(self, a, b):
+        if gcd(a, b) == 1:
+            assert rational_lift(a * pow(b, -1, MOD_PRIME) % MOD_PRIME) is None
+
+    @given(
+        st.integers(_lift_bound() + 1, 19 * _lift_bound() // 10),
+        st.integers(1, 100),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=200)
+    def test_none_past_the_numerator_bound(self, a, b, sign):
+        if gcd(a, b) == 1:
+            u = sign * a * pow(b, -1, MOD_PRIME) % MOD_PRIME
+            assert rational_lift(u) is None
+
+    def test_vector_lift_is_the_primitive_ray(self):
+        fracs = [Fraction(1), Fraction(-2, 3), Fraction(0), Fraction(5, 6)]
+        v = [f.numerator * pow(f.denominator, -1, MOD_PRIME) % MOD_PRIME for f in fracs]
+        assert lift_vector(v) == [6, -4, 0, 5]
+        u = next(u for u in range(10**9, 10**9 + 100) if rational_lift(u) is None)
+        assert lift_vector([1, u]) is None
 
 
 def _rank_modp_reference(rows, p=MOD_PRIME):
