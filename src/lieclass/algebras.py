@@ -490,8 +490,21 @@ def normalizer_in_gl(k: CatalogAlgebra, extra_center=()) -> CatalogAlgebra:
     return CatalogAlgebra(basis, [], n, meta)
 
 
+class NormalizerDim(int):
+    """The dimension of the normalizer of a span U in gl_n, an int that
+    carries dim U as span_dim.  normalizer_dim reads both off one
+    elimination, so a caller that compares them (the table's fixed-point
+    test) eliminates U once."""
+
+    def __new__(cls, dim, span_dim):
+        self = super().__new__(cls, dim)
+        self.span_dim = span_dim
+        return self
+
+
 def normalizer_dim(k_basis, extra_center=(), n=None):
-    """dim of the normalizer of span(k_basis + extra_center) in gl_n.
+    """dim of the normalizer of span(k_basis + extra_center) in gl_n, as a
+    NormalizerDim whose span_dim is dim U = n^2 - len(ann).
 
     The span must be a Lie subalgebra (the table passes k plus central
     operators).  Then the normalizer contains it, so the system has rank
@@ -507,4 +520,4 @@ def normalizer_dim(k_basis, extra_center=(), n=None):
     if mats:
         n = len(mats[0])
     ann, gram = _normalizer_system(mats, n)
-    return n * n - rank_capped(gram, len(ann))
+    return NormalizerDim(n * n - rank_capped(gram, len(ann)), n * n - len(ann))

@@ -20,17 +20,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-from . import linalg
-from .algebras import (
-    CatalogAlgebra,
-    ModuleSpec,
-    direct_sum,
-    make_algebra,
-)
 from .errors import BadParameter, MismatchedSize, UnsupportedShape
-from .oracle import is_spherical_module
 from .partitions import FlagType
-from .sphericaltable import is_spherical_module_by_table
+
+# The matrix models, the table and the oracle are imported by the functions
+# that use them: the case lists alone need no numpy.
 
 
 class ClassificationDatum:
@@ -213,6 +207,9 @@ def _match(cases, factors, trivial, steps, n, prefix=""):
 def _projective_verdict(d: ClassificationDatum) -> ClassificationVerdict:
     """A flag equivalent to P(V): the module table on the natural summands
     plus trivial ones, with every per-summand scalar adjoined."""
+    from .algebras import ModuleSpec, make_algebra
+    from .sphericaltable import is_spherical_module_by_table
+
     algs = [make_algebra(tag, size) for tag, size in d.factors]
     summands = [("natural", i) for i in range(len(algs))]
     summands += [("trivial",)] * d.trivial
@@ -256,6 +253,8 @@ def product_flags_spherical(steps1, steps2) -> bool:
     by unordered pair of step multisets."""
     a = sorted(steps1)
     b = sorted(steps2)
+    if min(a + b, default=0) < 1:
+        raise BadParameter("flag steps must be at least 1")
     if sum(a) != sum(b):
         raise MismatchedSize("step multisets must sum to the same total")
     for x, y in ((a, b), (b, a)):
@@ -271,6 +270,9 @@ def product_flags_spherical(steps1, steps2) -> bool:
 
 
 def _adjoin_scalar(alg: CatalogAlgebra) -> CatalogAlgebra:
+    from . import linalg
+    from .algebras import CatalogAlgebra
+
     ident = linalg.identity(alg.n)
     return CatalogAlgebra(
         list(alg.basis) + [ident],
@@ -283,6 +285,8 @@ def _adjoin_scalar(alg: CatalogAlgebra) -> CatalogAlgebra:
 def datum_algebra(d: ClassificationDatum) -> CatalogAlgebra:
     """Matrix model of the factors extended by all per-summand scalars; the
     group the classification verdict speaks about."""
+    from .algebras import direct_sum, make_algebra
+
     blocks = []
     for tag, size in d.factors:
         if tag == "sl":
@@ -299,6 +303,9 @@ def datum_algebra(d: ClassificationDatum) -> CatalogAlgebra:
 def bounded_subalgebra_sl(k, spec: ModuleSpec, samples=5, seed=0) -> bool:
     """Existence of an infinite-dimensional simple bounded pair: sphericity
     of the module with the overall scalar appended."""
+    from .algebras import CatalogAlgebra, make_algebra
+    from .oracle import is_spherical_module
+
     if not isinstance(k, (list, tuple, CatalogAlgebra)):
         raise BadParameter("k must be factor algebras")
     if not isinstance(k, CatalogAlgebra):

@@ -6,6 +6,9 @@ count in the report; the default seed comes from LIECLASS_SEED.
 
 Exit codes: 0 when a decision was reached, 2 on input errors, 3 when the
 requested shape has no supported matrix model.
+
+Each handler imports the modules that answer it, so that a question about
+tuples, partitions or quivers loads neither numpy nor the oracle.
 """
 
 from __future__ import annotations
@@ -16,44 +19,39 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebras import ModuleSpec, make_algebra
-from .classifier import (
-    ClassificationDatum,
-    classify_flag_datum,
-    product_flags_spherical,
-)
 from .errors import (
     LieclassError,
     BadParameter,
     NoMatrixModel,
+    TooLarge,
     UnsupportedShape,
-)
-from .joseph import is_joseph_sl, is_joseph_sp, odd_pair
-from .oracle import (
-    is_spherical_flag,
-    is_spherical_module,
-    product_flag_complexity,
-)
-from .partitions import FlagType, canonical_flag, flag_order
-from .quivers import QuiverSpec, count_P, enumerate_simples
-from .sphericaltable import is_spherical_module_by_table
-from .tuples import (
-    as_tuple,
-    classify_tuple,
-    is_positive_sw,
-    is_shale_weil,
-    monodromy,
-    MonodromyClass,
 )
 
 _FACTOR_RE = re.compile(r"^(sl|so|sp|gl)\((\d+)\)$")
 
+# Decimal digits a rational literal may have, its exponent counted as that
+# many digits: checked on the text, before Fraction builds 10**exponent.
+MAX_LITERAL_DIGITS = 1000
+
+
+def parse_fraction(text):
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    try:
+        if len(exponent) > len(str(MAX_LITERAL_DIGITS)) or (
+            sum(c.isdigit() for c in mantissa) + int(exponent or 0)
+            > MAX_LITERAL_DIGITS
+        ):
+            raise TooLarge("a number has more than %d digits" % MAX_LITERAL_DIGITS)
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParameter("bad number %r: %s" % (text, exc))
+
 
 def parse_tuple(text):
-    try:
-        return as_tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParameter("bad tuple %r: %s" % (text, exc))
+    from .tuples import as_tuple
+
+    return as_tuple(parse_fraction(part) for part in text.split(","))
 
 
 def parse_ints(text):
@@ -88,6 +86,8 @@ def parse_module_spec(text, sizes):
     """Summand grammar: C1 (trivial line), Ck / Ck* (natural / dual of the
     k-dimensional factor), CjxCk (tensor of naturals), wedge2 / sym2 of a
     single factor."""
+    from .algebras import ModuleSpec
+
     used = set()
     summands = []
     for piece in text.replace(" ", "").split("+"):
@@ -137,6 +137,8 @@ def _emit(out, pairs):
 
 
 def _cmd_tuple(args, out):
+    from .tuples import classify_tuple, is_positive_sw, is_shale_weil, monodromy
+
     t = parse_tuple(args.tuple)
     cls = classify_tuple(t)
     rows = [
@@ -156,6 +158,8 @@ def _cmd_tuple(args, out):
 
 
 def _cmd_joseph(args, out):
+    from .joseph import is_joseph_sl, is_joseph_sp
+
     t = parse_tuple(args.tuple)
     if args.algebra == "sl":
         verdict = is_joseph_sl(t)
@@ -169,6 +173,8 @@ def _cmd_joseph(args, out):
 
 
 def _cmd_odd_pair(args, out):
+    from .joseph import odd_pair
+
     pair = odd_pair(parse_tuple(args.tuple))
     _emit(
         out,
@@ -183,11 +189,14 @@ def _cmd_odd_pair(args, out):
 
 
 def _cmd_count_simples(args, out):
+    from .quivers import QuiverSpec, count_P, enumerate_simples
+    from .tuples import MonodromyClass
+
     spec = QuiverSpec(args.quiver, args.n)
     if args.monodromy == "generic":
         c = MonodromyClass.generic()
     else:
-        c = MonodromyClass(Fraction(args.monodromy))
+        c = MonodromyClass(parse_fraction(args.monodromy))
     descs = enumerate_simples(spec, c)
     rows = [
         ("quiver", args.quiver),
@@ -213,6 +222,8 @@ def _cmd_count_simples(args, out):
 
 
 def _cmd_order(args, out):
+    from .partitions import FlagType, flag_order
+
     n = args.n
     f1 = FlagType(parse_ints(args.flag1), n)
     f2 = FlagType(parse_ints(args.flag2), n)
@@ -230,6 +241,8 @@ def _cmd_order(args, out):
 
 
 def _cmd_classify(args, out):
+    from .classifier import ClassificationDatum, classify_flag_datum
+
     factors = parse_factors(args.k)
     datum = ClassificationDatum(
         parse_ints(args.dims), factors, trivial=args.trivial
@@ -249,6 +262,10 @@ def _cmd_classify(args, out):
 
 
 def _cmd_oracle(args, out):
+    from .algebras import make_algebra
+    from .oracle import is_spherical_flag, is_spherical_module
+    from .partitions import FlagType
+
     seed = _seed(args)
     if " on " in args.k:
         factors, spec = parse_algebra_module(args.k)
@@ -283,6 +300,8 @@ def _cmd_oracle(args, out):
 
 
 def _cmd_product(args, out):
+    from .classifier import product_flags_spherical
+
     s1 = parse_ints(args.steps1)
     s2 = parse_ints(args.steps2)
     ok = product_flags_spherical(s1, s2)
@@ -292,6 +311,9 @@ def _cmd_product(args, out):
         ("spherical", "yes" if ok else "no"),
     ]
     if args.check:
+        from .oracle import product_flag_complexity
+        from .partitions import canonical_flag
+
         seed = _seed(args)
         n = sum(s1)
         c = product_flag_complexity(
@@ -307,6 +329,9 @@ def _cmd_product(args, out):
 
 
 def _cmd_table(args, out):
+    from .algebras import make_algebra
+    from .sphericaltable import is_spherical_module_by_table
+
     factors, spec = parse_algebra_module(args.k)
     algs = [make_algebra(tag, size) for tag, size in factors]
     verdict = is_spherical_module_by_table(

@@ -488,8 +488,8 @@ def is_spherical_module_by_table(
         if with_scalar:
             extra.append(linalg.identity(rep.n))
     span = [list(map(list, m)) for m in rep.basis] + extra
-    dim_u = len(linalg.rref([linalg.flatten(m) for m in span])[1])
-    ok = normalizer_dim(span, (), rep.n) == dim_u
+    dim = normalizer_dim(span, (), rep.n)
+    ok = dim == dim.span_dim
     return TableVerdict(
         ok,
         [e for e, _ in matched],

@@ -143,6 +143,13 @@ class TestProductFlags:
         with pytest.raises(MismatchedSize):
             product_flags_spherical((1, 2), (1, 3))
 
+    @pytest.mark.parametrize(
+        "steps1, steps2", [((0, 0), (0,)), ((2, 0), (1, 1)), ((3, -1), (2,)), ((), ())]
+    )
+    def test_steps_below_one_refused(self, steps1, steps2):
+        with pytest.raises(BadParameter):
+            product_flags_spherical(steps1, steps2)
+
 
 class TestBoundedSubalgebra:
     def test_sym2_true(self):

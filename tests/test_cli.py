@@ -1,18 +1,24 @@
 import io
+import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import lieclass
 from lieclass.cli import (
+    MAX_LITERAL_DIGITS,
     build_parser,
     parse_algebra_module,
     parse_factors,
+    parse_fraction,
     parse_module_spec,
     parse_tuple,
     run,
 )
-from lieclass.errors import BadParameter
+from lieclass.errors import BadParameter, TooLarge
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -39,10 +45,37 @@ GOLDEN_CASES = [
 ]
 
 
+# The goldens whose questions are answered without numpy.
+NUMPY_FREE = (
+    "tuple.txt",
+    "joseph_sl.txt",
+    "odd_pair.txt",
+    "count_simples.txt",
+    "order.txt",
+    "classify.txt",
+)
+
+
 def run_capture(argv):
     buf = io.StringIO()
     code = run(argv, out=buf)
     return code, buf.getvalue()
+
+
+def python_child(code, *args):
+    """Run code in a fresh interpreter that imports this lieclass."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(lieclass.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestGolden:
@@ -56,6 +89,34 @@ class TestGolden:
     @pytest.mark.parametrize("fname,argv", GOLDEN_CASES)
     def test_deterministic_across_runs(self, fname, argv):
         assert run_capture(argv) == run_capture(argv)
+
+    def test_numpy_free_goldens_with_numpy_blocked(self):
+        cases = [(f, argv) for f, argv in GOLDEN_CASES if f in NUMPY_FREE]
+        assert len(cases) == len(NUMPY_FREE)
+        out = python_child(
+            "import io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from lieclass.cli import run\n"
+            "answers = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    answers.append((run(argv, out=buf), buf.getvalue()))\n"
+            "print(json.dumps(answers))\n",
+            json.dumps([argv for _, argv in cases]),
+        )
+        for (fname, _), (code, text) in zip(cases, json.loads(out)):
+            with open(os.path.join(GOLDEN_DIR, fname), "rb") as fh:
+                assert (code, text.encode()) == (0, fh.read()), fname
+
+
+class TestImports:
+    def test_cli_import_loads_no_numpy_and_no_oracle(self):
+        out = python_child(
+            "import sys, lieclass.cli\n"
+            "print(' '.join(m for m in ('numpy', 'lieclass.algebras', "
+            "'lieclass.oracle') if m in sys.modules))\n"
+        )
+        assert out.split() == []
 
 
 class TestExitCodes:
@@ -80,6 +141,17 @@ class TestExitCodes:
     def test_missing_dims_for_flag_oracle(self):
         code, _ = run_capture(["oracle", "--k", "sp(4)"])
         assert code == 2
+
+    def test_zero_denominator_monodromy_is_2(self):
+        code, text = run_capture(
+            ["count-simples", "--quiver", "A", "--n", "2", "--monodromy", "1/0"]
+        )
+        assert code == 2 and text.startswith("error:")
+
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    def test_product_steps_below_one_are_2(self, check):
+        code, text = run_capture(["product", "--steps1", "0,0", "--steps2", "0"] + check)
+        assert code == 2 and text.startswith("error:")
 
     @pytest.mark.parametrize("n", ["1001", "100000", "1000000000"])
     def test_quiver_size_above_the_cap_is_2(self, n):
@@ -118,6 +190,9 @@ class TestExitCodes:
             ["order", "--flag1", "1", "--flag2", "2", "--n", "10001"],
             ["classify", "--dims", "1", "--k", "sl(2)", "--trivial", "3000000"],
             ["classify", "--dims", "2", "--k", "sl(2)", "--trivial", "9999"],
+            ["tuple", "1e99999999"],
+            ["joseph", "sl", "1,2," + "9" * (MAX_LITERAL_DIGITS + 1)],
+            ["count-simples", "--quiver", "A", "--n", "2", "--monodromy", "1e99999999"],
         ],
     )
     def test_size_above_the_cap_is_2(self, argv):
@@ -164,6 +239,21 @@ class TestParsers:
             parse_tuple("1,x")
         with pytest.raises(BadParameter):
             parse_tuple("1/0")
+
+    def test_parse_fraction_digit_bound(self):
+        from fractions import Fraction
+
+        big = "9" * MAX_LITERAL_DIGITS
+        assert parse_fraction(big) == int(big)
+        assert parse_fraction("1e%d" % (MAX_LITERAL_DIGITS - 1)) == 10 ** (MAX_LITERAL_DIGITS - 1)
+        assert parse_fraction("-1.5E-3") == Fraction(-3, 2000)
+        for text in (big + "9", "1e%d" % MAX_LITERAL_DIGITS, "1/" + big + "9",
+                     "2e-99999999", "1e1_000", "1e" + "0" * 5000 + "9" * 5000):
+            with pytest.raises(TooLarge):
+                parse_fraction(text)
+        for text in ("1/0", "x", "1ex", "1/2e3"):
+            with pytest.raises(BadParameter):
+                parse_fraction(text)
 
     def test_parse_factors(self):
         assert parse_factors("sl(3)+sp(4)") == [("sl", 3), ("sp", 4)]

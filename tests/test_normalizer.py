@@ -63,7 +63,9 @@ def assert_matches_reference(mats, n):
         assert echelon_rows(gram) == echelon_rows(rows)
     else:
         assert gram == []
-    assert normalizer_dim(mats, (), n) == n * n - rank_exact(rows)
+    dim = normalizer_dim(mats, (), n)
+    assert dim == n * n - rank_exact(rows)
+    assert dim.span_dim == rank_exact([linalg.flatten(m) for m in mats])
     norm = normalizer_in_gl(CatalogAlgebra(mats, [], n, {}))
     expected = linalg.nullspace(rows, n * n)
     assert [linalg.flatten(b) for b in norm.basis] == expected
