@@ -32,6 +32,9 @@ _FACTOR_RE = re.compile(r"^(sl|so|sp|gl)\((\d+)\)$")
 # Decimal digits a rational literal may have, its exponent counted as that
 # many digits: checked on the text, before Fraction builds 10**exponent.
 MAX_LITERAL_DIGITS = 1000
+# Entries a tuple may have: odd-pair multiplies a Fraction over every pair
+# of entries, so its time grows faster than the square of the length.
+MAX_TUPLE_LENGTH = 100
 
 
 def parse_fraction(text):
@@ -51,7 +54,10 @@ def parse_fraction(text):
 def parse_tuple(text):
     from .tuples import as_tuple
 
-    return as_tuple(parse_fraction(part) for part in text.split(","))
+    parts = text.split(",")
+    if len(parts) > MAX_TUPLE_LENGTH:
+        raise TooLarge("a tuple has more than %d entries" % MAX_TUPLE_LENGTH)
+    return as_tuple(parse_fraction(part) for part in parts)
 
 
 def parse_ints(text):

@@ -34,20 +34,32 @@ of L^-1 have degree at most k - 1 in the drawn entries, an r x r minor of
 the constraint rows degree at most k r, and by Schwartz-Zippel one sample
 misses the generic rank with probability at most k r / (2 box + 1).
 
-The flag entry points form the constraint rows of all samples of one call
-at once, as int64 residues mod MOD_PRIME: g^-1 y g = L^-1 (y L) for the
-whole Borel basis is one (samples, m, n, dmax) array, L^-1 is applied by
-forward substitution so that every product is a box-sized entry of L
-times a residue (no int64 overflow), and the rows are gathered at the
-chart coordinates, the entries of g^-1 y g that must vanish, so each flag
-gives dim G/P rows.  Exact integers remain in three places only: the
-point g, g^-1 of a Yes certificate, formed from L when first read, the
-stabilizer check L^-1 (Y L) of the best failing sample, and, when that
-check cannot prove the rank, that sample's rows for Bareiss, built from
-the nonzero entries of each Borel matrix.  The module oracle draws all its
-points at once, forms its rows as one int64 product and reduces them mod
-p.  A call whose int64 arrays would pass MAX_CELLS is refused with
-TooLarge before anything is drawn.
+The scan stops early once a sample's mod-p rank r_p is provably the
+highest any point can reach: when every lifted kernel vector of that
+sample acts trivially at every point (a scalar Y on the flags, Y = 0 on
+the module), each lift lies in the stabilizer of every point, so no point
+ranks above r_p, and r_p is the exact rank.  An empty kernel (full
+column rank) stops the scan the same way.  The test runs only when a
+sample sets a new best rank; since ties never replace the best, the
+verdict is the one the full scan would give.
+
+The flag entry points draw every point of a call up front, so the random
+stream does not depend on where the scan stops, and form each sample's
+constraint rows only when the scan asks for them, as int64 residues mod
+MOD_PRIME: g^-1 y g = L^-1 (y L) for the whole Borel basis is one
+(m, n, dmax) array per flag, L^-1 is applied by forward substitution so
+that every product is a box-sized entry of L times a residue (no int64
+overflow), and the rows are gathered at the chart coordinates, the entries
+of g^-1 y g that must vanish, so each flag gives dim G/P rows.  A Yes or
+an early stop at the first sample pays for that sample alone.  Exact
+integers remain in three places only: the point g, g^-1 of a Yes
+certificate, formed from L when first read, the stabilizer check
+L^-1 (Y L) of the best failing sample, and, when that check cannot prove
+the rank, that sample's rows for Bareiss, built from the nonzero entries
+of each Borel matrix.  The module oracle draws all its points at once,
+forms its rows as one int64 product and reduces them mod p.  A call whose
+int64 residues, summed over its samples, would pass MAX_CELLS is refused
+with TooLarge before anything is drawn.
 """
 
 from __future__ import annotations
@@ -70,8 +82,9 @@ from .rank import MOD_PRIME, kernel_modp, lift_vector, rank_exact, rank_modp
 COEFF_BOX = 10_000
 DEFAULT_SAMPLES = 5
 MAX_SAMPLES = 1000
-# int64 cells of the residue arrays of one call (64 MB): every sample's
-# rows at once, or for a flag the products y L they are gathered from
+# int64 cells of the residue arrays of one call, summed over its samples
+# (64 MB): the module oracle holds them all at once; the flag oracle forms
+# the products y L one sample at a time, so for a flag this bounds work
 MAX_CELLS = 2**23
 
 
@@ -280,8 +293,18 @@ def _scan(target, residues, exact_rows, certificate, stabilizes, samples, seed):
     Borel basis element, exact_rows(i) the same map over Z (asked for only
     when the certificate fails), certificate(i) the point a Yes at sample
     i carries, and stabilizes(i, v) whether the integer combination v of
-    the Borel basis lies in the stabilizer of sample i, checked exactly."""
-    best_rank, best_index, best = -1, -1, None
+    the Borel basis lies in the stabilizer of sample i, checked exactly;
+    stabilizes(None, v) asks whether v acts trivially at every point.
+
+    Early stop: when a sample sets a new best rank r_p, its mod-p kernel
+    is lifted at once.  If every lift acts trivially at every point (or
+    the kernel is empty), each lift lies in every point's stabilizer, so
+    no sample can rank above r_p and r_p is exact: the scan returns
+    ProbablyNo(r_p) without ranking the rest.  A later sample could only
+    tie, and ties never replace the best, so the verdict is the full
+    scan's.  Otherwise the lifts are kept for the best sample's
+    certificate at the end of the scan."""
+    best_rank, best_index, lifts = -1, -1, None
     for idx in range(samples):
         res = residues(idx)
         echelon = np.empty(res.shape, dtype=np.int64)
@@ -291,8 +314,11 @@ def _scan(target, residues, exact_rows, certificate, stabilizes, samples, seed):
                 "Yes", target, target, samples, seed, certificate(idx)
             )
         if rp > best_rank:
-            best_rank, best_index, best = rp, idx, echelon
-    if _stabilizer_certified(best, best_rank, partial(stabilizes, best_index)):
+            best_rank, best_index = rp, idx
+            lifts = _lift_kernel(echelon, rp)
+            if _stabilizer_certified(lifts, partial(stabilizes, None)):
+                return OracleVerdict("ProbablyNo", rp, target, samples, seed)
+    if _stabilizer_certified(lifts, partial(stabilizes, best_index)):
         return OracleVerdict("ProbablyNo", best_rank, target, samples, seed)
     rows = exact_rows(best_index)
     exact = rank_exact(rows) if rows and rows[0] else 0
@@ -303,29 +329,36 @@ def _scan(target, residues, exact_rows, certificate, stabilizes, samples, seed):
     return OracleVerdict("ProbablyNo", exact, target, samples, seed)
 
 
-def _stabilizer_certified(echelon, rank, stabilizes):
-    """Whether the mod-p rank of an echelon form is the exact rank: every
-    mod-p kernel vector lifts (lift_vector) to an integer vector that
-    stabilizes() confirms over Z.
+def _lift_kernel(echelon, rank):
+    """The mod-p kernel of an echelon form of the given rank, each vector
+    lifted (lift_vector) to an integer vector, or None when one does not
+    reconstruct."""
+    lifts = []
+    for v in kernel_modp(echelon, rank=rank):
+        w = lift_vector(v)
+        if w is None:
+            return None
+        lifts.append(w)
+    return lifts
+
+
+def _stabilizer_certified(lifts, stabilizes):
+    """Whether the mod-p rank the lifts came from is the exact rank: every
+    lift exists and stabilizes() confirms it over Z.
 
     The rank over Q is never below the rank mod p, and k exact kernel
     vectors bound it by m - k from above once they are independent.  They
     are: each lift reduces to a unit multiple of its mod-p vector, which
     is 1 at its own free column and 0 at the others."""
-    lifts = []
-    for v in kernel_modp(echelon, rank=rank):
-        w = lift_vector(v)
-        if w is None:
-            return False
-        lifts.append(w)
-    return all(stabilizes(w) for w in lifts)
+    return lifts is not None and all(stabilizes(w) for w in lifts)
 
 
 def _flag_stabilizes(mats, points):
     """stabilizes(i, v) of the flag scan: Y = sum v_b y_b fixes every flag
     of sample i, that is, the chart entries of g^-1 Y g all vanish, found
     exactly as L^-1 (Y L) by forward substitution.  A scalar Y fixes every
-    flag without conjugating."""
+    flag without conjugating, so stabilizes(None, v), asked for every
+    point at once, is the test for a scalar Y."""
     n = mats.shape[1]
 
     def stabilizes(i, v):
@@ -335,6 +368,8 @@ def _flag_stabilizes(mats, points):
         y = y.reshape(n, n)
         if not np.count_nonzero(y - np.diag([y[0, 0]] * n)):
             return True
+        if i is None:
+            return False
         for x in points[i]:
             rr, kk = np.divmod(_chart_index(n, x.dims), n)
             hi = max(x.dims)
@@ -379,7 +414,9 @@ def _flag_verdict(n, k, flags, samples, seed, box):
         for _ in range(samples)
     ]
     mats = np.array(borel, dtype=np.int64).reshape(len(borel), n, n)
-    residues = _flag_residues(mats, points, flags)
+
+    def residues(i):
+        return _flag_residues(mats, points[i : i + 1], flags)[0]
 
     def exact_rows(i):
         return [row for x in points[i] for row in _constraint_rows(borel, x)]
@@ -387,7 +424,7 @@ def _flag_verdict(n, k, flags, samples, seed, box):
     certificates = points if len(flags) > 1 else [x for (x,) in points]
     return _scan(
         sum(f.dim() for f in flags),
-        residues.__getitem__,
+        residues,
         exact_rows,
         certificates.__getitem__,
         _flag_stabilizes(mats, points),
@@ -451,7 +488,10 @@ def is_spherical_module(
     residues = rows.transpose(0, 2, 1) % MOD_PRIME
 
     def stabilizes(i, v):
-        return not np.count_nonzero(np.dot(v, rows[i].astype(object)))
+        """Y = sum v_b y_b kills the point w_i; for i None, Y = 0, which
+        kills every point."""
+        at = borel.reshape(len(borel), -1) if i is None else rows[i]
+        return not np.count_nonzero(np.dot(v, at.astype(object)))
 
     return _scan(
         n,

@@ -10,6 +10,7 @@ import pytest
 import lieclass
 from lieclass.cli import (
     MAX_LITERAL_DIGITS,
+    MAX_TUPLE_LENGTH,
     build_parser,
     parse_algebra_module,
     parse_factors,
@@ -193,6 +194,7 @@ class TestExitCodes:
             ["tuple", "1e99999999"],
             ["joseph", "sl", "1,2," + "9" * (MAX_LITERAL_DIGITS + 1)],
             ["count-simples", "--quiver", "A", "--n", "2", "--monodromy", "1e99999999"],
+            ["odd-pair", ",".join("%d/2" % k for k in range(401, 0, -2))],
         ],
     )
     def test_size_above_the_cap_is_2(self, argv):
@@ -254,6 +256,11 @@ class TestParsers:
         for text in ("1/0", "x", "1ex", "1/2e3"):
             with pytest.raises(BadParameter):
                 parse_fraction(text)
+
+    def test_parse_tuple_length_bound(self):
+        assert len(parse_tuple(",".join(["1"] * MAX_TUPLE_LENGTH))) == MAX_TUPLE_LENGTH
+        with pytest.raises(TooLarge):
+            parse_tuple(",".join(["1"] * (MAX_TUPLE_LENGTH + 1)))
 
     def test_parse_factors(self):
         assert parse_factors("sl(3)+sp(4)") == [("sl", 3), ("sp", 4)]

@@ -31,7 +31,7 @@ from lieclass.oracle import (
     sample_flag_point,
 )
 from lieclass.partitions import FlagType, canonical_flag
-from lieclass.rank import MOD_PRIME, rank_exact, reduce_mod
+from lieclass.rank import MOD_PRIME, rank_exact, rank_modp, reduce_mod
 
 
 class TestFlagPoint:
@@ -572,17 +572,29 @@ class TestStabilizerCertificate:
 
     @staticmethod
     def _record(monkeypatch):
-        """Spy on the scan: per call, the exact-row callback, the index of
-        the best sample and whether its certificate held."""
+        """Spy on the scan: per call, the exact-row callback, the samples
+        ranked, the index of the certified sample and whether its
+        certificate held.  An early stop asks stabilizes(None, v) at the
+        newest sample, so that is the index of a stop."""
         calls, scan, certified = [], oracle._scan, oracle._stabilizer_certified
 
         def scan_spy(target, residues, exact_rows, *rest):
-            calls.append({"exact_rows": exact_rows})
-            return scan(target, residues, exact_rows, *rest)
+            call = {"exact_rows": exact_rows, "ranked": []}
+            calls.append(call)
 
-        def certified_spy(echelon, rank, stabilizes):
-            ok = certified(echelon, rank, stabilizes)
-            calls[-1].update(index=stabilizes.args[0], certified=ok)
+            def ranked(i):
+                call["ranked"].append(i)
+                return residues(i)
+
+            return scan(target, ranked, exact_rows, *rest)
+
+        def certified_spy(lifts, stabilizes):
+            ok = certified(lifts, stabilizes)
+            index = stabilizes.args[0]
+            if index is not None:
+                calls[-1].update(index=index, certified=ok)
+            elif ok:
+                calls[-1].update(index=calls[-1]["ranked"][-1], certified=ok)
             return ok
 
         monkeypatch.setattr(oracle, "_scan", scan_spy)
@@ -591,43 +603,98 @@ class TestStabilizerCertificate:
 
     @staticmethod
     def _check(calls, verdicts):
-        proved = 0
+        proved = early = 0
         for call, v in zip(calls, verdicts, strict=True):
             if call.get("certified"):
                 assert v.kind == "ProbablyNo"
                 assert v.rank == rank_exact(call["exact_rows"](call["index"]))
                 proved += 1
-        return proved
+                early += len(call["ranked"]) < v.samples
+        return proved, early
 
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_product_and_levi_pairs(self, monkeypatch, seed):
+    @staticmethod
+    def _pair_cases():
         from test_acceptance import step_multisets
 
-        calls, verdicts = self._record(monkeypatch), []
         for n in range(2, 7):
             ms = step_multisets(n)
             for a, b in itertools.combinations_with_replacement(ms, 2):
                 f1, f2 = canonical_flag(a, n), canonical_flag(b, n)
-                borels = [(partial(_gl_borel, n), (f1, f2))] + [
-                    (partial(levi_borel, n, y), (x,)) for x, y in ((f1, f2), (f2, f1))
-                ]
-                for borel, flags in borels:
-                    verdicts.append(
-                        oracle._flag_verdict(n, borel, flags, 5, seed, COEFF_BOX)
-                    )
-        assert self._check(calls, verdicts) > 100
+                yield n, partial(_gl_borel, n), (f1, f2)
+                for x, y in ((f1, f2), (f2, f1)):
+                    yield n, partial(levi_borel, n, y), (x,)
 
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_criterion_1_probably_no(self, monkeypatch, seed):
+    @staticmethod
+    def _criterion_cases():
         from test_acceptance import small_data
 
-        calls, verdicts, cache = self._record(monkeypatch), [], {}
+        cache = {}
         for d in small_data(range(2, 7)):
             key = (d.factors, d.trivial)
             if key not in cache:
                 cache[key] = datum_algebra(d)
-            verdicts.append(is_spherical_flag(cache[key], d.flag, seed=seed))
-        assert self._check(calls, verdicts) > 100
+            yield d.flag.ambient, cache[key], (d.flag,)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_product_and_levi_pairs(self, monkeypatch, seed):
+        calls, verdicts = self._record(monkeypatch), []
+        for n, borel, flags in self._pair_cases():
+            verdicts.append(oracle._flag_verdict(n, borel, flags, 5, seed, COEFF_BOX))
+        proved, early = self._check(calls, verdicts)
+        assert proved > 100 and early > 100
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_criterion_1_probably_no(self, monkeypatch, seed):
+        calls, verdicts = self._record(monkeypatch), []
+        for n, k, flags in self._criterion_cases():
+            verdicts.append(is_spherical_flag(k, flags[0], seed=seed))
+        proved, early = self._check(calls, verdicts)
+        assert proved > 100 and early > 100
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("box", [COEFF_BOX, 1])
+    @pytest.mark.parametrize("cases", ["_pair_cases", "_criterion_cases"])
+    def test_early_stop_reaches_the_best_of_all_samples(
+        self, monkeypatch, cases, box, seed
+    ):
+        """The verdict's rank is the largest mod-p rank of all five samples,
+        formed at once by _flag_residues, however few the scan ranked.  At
+        box 1 many samples fall below the generic rank, so a scan that
+        stopped too soon would report less than the maximum."""
+        calls, stops = self._record(monkeypatch), 0
+        for n, k, flags in getattr(self, cases)():
+            v = oracle._flag_verdict(n, k, flags, 5, seed, box)
+            ranked = calls[-1]["ranked"]
+            rng = np.random.default_rng(seed)
+            points = [
+                tuple(sample_flag_point(f, rng, box) for f in flags)
+                for _ in range(5)
+            ]
+            borel = oracle._borel_of(k() if callable(k) else k)
+            ranks = [rank_modp(r) for r in _flag_residues(borel, points, flags)]
+            assert ranked == list(range(len(ranked)))
+            before = max((ranks[i] for i in ranked[:-1]), default=-1)
+            if v.kind == "Yes":
+                assert ranks[ranked[-1]] >= v.target > before
+            else:
+                assert v.rank == max(ranks)
+                if len(ranked) < 5:
+                    # a stop comes only at a new best rank
+                    assert ranks[ranked[-1]] == v.rank > before
+                    stops += 1
+        assert stops > 100
+
+    def test_yes_at_the_first_sample_forms_its_residues_alone(self, monkeypatch):
+        formed, residues = [], oracle._flag_residues
+
+        def spy(borel, points, flags):
+            formed.append(len(points))
+            return residues(borel, points, flags)
+
+        monkeypatch.setattr(oracle, "_flag_residues", spy)
+        full = FlagType(tuple(range(1, 8)), 8)
+        v = is_spherical_flag(make_algebra("sl", 8), full, samples=20)
+        assert v.kind == "Yes" and formed == [1]
 
     def test_forged_lift_is_rejected_and_bareiss_decides(self, monkeypatch):
         # two full flags of C^4 under the gl_4 Borel: the kernel is the scalars
@@ -657,7 +724,7 @@ class TestStabilizerCertificate:
 
             def spy(i, v):
                 ok = check(i, v)
-                rejected.append(not ok)
+                rejected.append((i, ok))
                 return ok
 
             return spy
@@ -666,7 +733,9 @@ class TestStabilizerCertificate:
         monkeypatch.setattr(oracle, "rank_exact", counted)
         monkeypatch.setattr(oracle, "_flag_stabilizes", watched)
         v = verdict()
-        assert rejected == [True] and exact_calls
+        # the early-stop test at sample 0 asks at every point, then the
+        # certificate of the best sample, 0, at that point alone
+        assert rejected == [(None, False), (0, False)] and exact_calls
         assert (v.kind, v.rank, v.target) == (honest.kind, honest.rank, honest.target)
 
     def test_module_with_empty_kernel_needs_no_bareiss(self, monkeypatch):
