@@ -31,13 +31,26 @@ def check_matrix_size(n):
 class CatalogAlgebra:
     """A Lie algebra of n x n integer matrices with a chosen Borel."""
 
-    __slots__ = ("basis", "borel_basis", "n", "meta")
+    __slots__ = ("basis", "borel_basis", "n", "meta", "_borel_array")
 
     def __init__(self, basis, borel_basis, n, meta):
         self.basis = [tuple(tuple(row) for row in b) for b in basis]
         self.borel_basis = [tuple(tuple(row) for row in b) for b in borel_basis]
         self.n = n
         self.meta = meta
+        self._borel_array = None
+
+    @property
+    def borel_array(self):
+        """The Borel basis as one read-only int64 (m, n, n) array, built
+        when first read and kept with the algebra."""
+        if self._borel_array is None:
+            a = np.array(self.borel_basis, dtype=np.int64).reshape(
+                len(self.borel_basis), self.n, self.n
+            )
+            a.flags.writeable = False
+            self._borel_array = a
+        return self._borel_array
 
     @property
     def dim(self):

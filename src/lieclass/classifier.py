@@ -19,6 +19,7 @@ the Monte Carlo oracle probes exactly the same group.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from .errors import BadParameter, MismatchedSize, UnsupportedShape
 from .partitions import FlagType
@@ -35,6 +36,8 @@ class ClassificationDatum:
     def __init__(self, dims, factors, trivial=0):
         self.factors = tuple((tag, int(size)) for tag, size in factors)
         self.trivial = int(trivial)
+        if self.trivial < 0:
+            raise BadParameter("trivial summand count must be >= 0")
         for tag, size in self.factors:
             if tag not in ("sl", "so", "sp"):
                 raise UnsupportedShape("factor type %r unsupported" % (tag,))
@@ -204,17 +207,27 @@ def _match(cases, factors, trivial, steps, n, prefix=""):
     return None
 
 
-def _projective_verdict(d: ClassificationDatum) -> ClassificationVerdict:
-    """A flag equivalent to P(V): the module table on the natural summands
-    plus trivial ones, with every per-summand scalar adjoined."""
+@lru_cache(maxsize=1024)
+def _projective_spherical(factors, trivial) -> bool:
+    """The module table's answer for the natural summands of the factors
+    plus `trivial` trivial ones, with every per-summand scalar adjoined.
+    P(V) and P(V*) of one datum ask the same question, so it is asked once
+    per (factors, trivial) of a validated datum, as given."""
     from .algebras import ModuleSpec, make_algebra
     from .sphericaltable import is_spherical_module_by_table
 
-    algs = [make_algebra(tag, size) for tag, size in d.factors]
+    algs = [make_algebra(tag, size) for tag, size in factors]
     summands = [("natural", i) for i in range(len(algs))]
-    summands += [("trivial",)] * d.trivial
+    summands += [("trivial",)] * trivial
     spec = ModuleSpec(summands)
-    if is_spherical_module_by_table(algs, spec, centers="summands"):
+    return bool(is_spherical_module_by_table(algs, spec, centers="summands"))
+
+
+def _projective_verdict(d: ClassificationDatum) -> ClassificationVerdict:
+    """A flag equivalent to P(V) (or to P(V*), the same question): the
+    table's cached answer for the datum's (factors, trivial), in a fresh
+    verdict."""
+    if _projective_spherical(d.factors, d.trivial):
         return ClassificationVerdict(True, "P(V)")
     return ClassificationVerdict(False, reason="P(V) module test failed")
 

@@ -43,9 +43,14 @@ column rank) stops the scan the same way.  The test runs only when a
 sample sets a new best rank; since ties never replace the best, the
 verdict is the one the full scan would give.
 
-The flag entry points draw every point of a call up front, so the random
-stream does not depend on where the scan stops, and form each sample's
-constraint rows only when the scan asks for them, as int64 residues mod
+The flag entry points draw a sample's points, one per flag, when the scan
+first asks about that sample.  The scan visits the samples in order and
+the generator is sequential, so every sample gets the points an up-front
+draw would give it, and a call that stops at sample i draws i + 1 samples.
+The Borel basis enters as one read-only int64 (m, n, n) array, built once
+per algebra (CatalogAlgebra.borel_array) or per gl_n (_gl_borel); the
+exact paths turn it back into Python ints.  Each sample's constraint rows
+are formed only when the scan asks for them, as int64 residues mod
 MOD_PRIME: g^-1 y g = L^-1 (y L) for the whole Borel basis is one
 (m, n, dmax) array per flag, L^-1 is applied by forward substitution so
 that every product is a box-sized entry of L times a residue (no int64
@@ -195,9 +200,23 @@ def sample_flag_point(flag: FlagType, rng, box=COEFF_BOX) -> FlagPoint:
 
 
 def _borel_of(b):
+    """The Borel basis as an int64 (m, n, n) array: an algebra's own
+    read-only array, or an array built from a list of matrices."""
     if isinstance(b, CatalogAlgebra):
-        return list(b.borel_basis)
-    return list(b)
+        return b.borel_array
+    if isinstance(b, np.ndarray):
+        return b
+    return np.array(list(b), dtype=np.int64)
+
+
+def _exact_borel(borel):
+    """The Borel basis as nested lists of Python ints, for the exact
+    paths: an int64 entry times an entry of L^-1 past 2^63 would wrap."""
+    if isinstance(borel, CatalogAlgebra):
+        return borel.borel_basis
+    if isinstance(borel, np.ndarray):
+        return borel.tolist()
+    return list(borel)
 
 
 @lru_cache(maxsize=4096)
@@ -225,6 +244,7 @@ def _constraint_rows(borel_mats, x: FlagPoint):
     dimension.  Exact integers: entry (r, k) is summed over the nonzero
     y[i][j] only.
     """
+    borel_mats = _exact_borel(borel_mats)
     n, g, g_inv = x.ambient, x.g, x.g_inv
     terms = [
         (b, i, j, v)
@@ -272,8 +292,8 @@ def _flag_residues(borel, points, flags, p=MOD_PRIME):
 
 def borel_orbit_dim_at(b, x: FlagPoint):
     """Exact dimension of the orbit of the Borel b through the flag x."""
-    borel = _borel_of(b)
-    if borel and len(borel[0]) != x.ambient:
+    borel = _exact_borel(b)
+    if len(borel) and len(borel[0]) != x.ambient:
         raise DimensionMismatch(
             "Borel acts on C^%d, point lives in C^%d"
             % (len(borel[0]), x.ambient)
@@ -355,10 +375,11 @@ def _stabilizer_certified(lifts, stabilizes):
 
 def _flag_stabilizes(mats, points):
     """stabilizes(i, v) of the flag scan: Y = sum v_b y_b fixes every flag
-    of sample i, that is, the chart entries of g^-1 Y g all vanish, found
-    exactly as L^-1 (Y L) by forward substitution.  A scalar Y fixes every
-    flag without conjugating, so stabilizes(None, v), asked for every
-    point at once, is the test for a scalar Y."""
+    of sample i, the points points(i), that is, the chart entries of
+    g^-1 Y g all vanish, found exactly as L^-1 (Y L) by forward
+    substitution.  A scalar Y fixes every flag without conjugating, so
+    stabilizes(None, v), asked for every point at once, is the test for a
+    scalar Y."""
     n = mats.shape[1]
 
     def stabilizes(i, v):
@@ -370,7 +391,7 @@ def _flag_stabilizes(mats, points):
             return True
         if i is None:
             return False
-        for x in points[i]:
+        for x in points(i):
             rr, kk = np.divmod(_chart_index(n, x.dims), n)
             hi = max(x.dims)
             lower = x.lower.astype(object)
@@ -387,7 +408,8 @@ def _flag_stabilizes(mats, points):
 def _flag_verdict(n, k, flags, samples, seed, box):
     """The one validated scan path of the flag entry points: the Borel of k
     acts diagonally on the product of the flag varieties of `flags`, all
-    in C^n.  Each sample draws one point per flag, in order.
+    in C^n.  Each sample draws one point per flag, in order, when the scan
+    first asks about it; every check comes before the first draw.
 
     k is an algebra, a Borel basis, or a function building one; it is
     called only once the sample count and the flag ambients are checked."""
@@ -398,35 +420,41 @@ def _flag_verdict(n, k, flags, samples, seed, box):
     if any(f.ambient != n for f in flags):
         raise DimensionMismatch("flag ambients must equal %d" % n)
     check_matrix_size(n)
-    borel = _borel_of(k() if callable(k) else k)
-    if borel and len(borel[0]) != n:
+    mats = _borel_of(k() if callable(k) else k)
+    if len(mats) and mats.shape[-1] != n:
         raise DimensionMismatch(
-            "Borel acts on C^%d, flags live in C^%d" % (len(borel[0]), n)
+            "Borel acts on C^%d, flags live in C^%d" % (mats.shape[-1], n)
         )
-    _check_cells(samples * len(borel) * n * sum(f.dims[-1] for f in flags))
+    mats = mats.reshape(len(mats), n, n)
+    _check_cells(samples * len(mats) * n * sum(f.dims[-1] for f in flags))
     if n * max(box, 1) * MOD_PRIME >= 2**63:
         raise TooLarge(
             "coefficient box %d too large for int64 residues at n = %d" % (box, n)
         )
     rng = np.random.default_rng(seed)
-    points = [
-        tuple(sample_flag_point(f, rng, box) for f in flags)
-        for _ in range(samples)
-    ]
-    mats = np.array(borel, dtype=np.int64).reshape(len(borel), n, n)
+    drawn = []
+
+    def points(i):
+        # the scan asks for samples in order, so sample i gets the points
+        # an up-front draw of all samples would give it
+        while len(drawn) <= i:
+            drawn.append(tuple(sample_flag_point(f, rng, box) for f in flags))
+        return drawn[i]
 
     def residues(i):
-        return _flag_residues(mats, points[i : i + 1], flags)[0]
+        return _flag_residues(mats, [points(i)], flags)[0]
 
     def exact_rows(i):
-        return [row for x in points[i] for row in _constraint_rows(borel, x)]
+        return [row for x in points(i) for row in _constraint_rows(mats, x)]
 
-    certificates = points if len(flags) > 1 else [x for (x,) in points]
+    def certificate(i):
+        return points(i) if len(flags) > 1 else points(i)[0]
+
     return _scan(
         sum(f.dim() for f in flags),
         residues,
         exact_rows,
-        certificates.__getitem__,
+        certificate,
         _flag_stabilizes(mats, points),
         samples,
         seed,
@@ -471,7 +499,6 @@ def is_spherical_module(
                 )
         rep = representation(factors, spec)
     n, borel = rep.n, _borel_of(rep)
-    borel = np.array(borel, dtype=np.int64).reshape(len(borel), n, n)
     if with_scalar:
         borel = np.concatenate([borel, np.eye(n, dtype=np.int64)[None]])
     _check_cells(samples * len(borel) * n)
@@ -504,12 +531,16 @@ def is_spherical_module(
     )
 
 
+@lru_cache(maxsize=64)
 def _gl_borel(n):
-    return [
-        [[1 if (a, c) == (i, j) else 0 for c in range(n)] for a in range(n)]
-        for i in range(n)
-        for j in range(i, n)
-    ]
+    """The Borel of gl_n, the matrix units E_ij with i <= j row by row, as
+    one read-only int64 (m, n, n) array."""
+    units = [(i, j) for i in range(n) for j in range(i, n)]
+    mats = np.zeros((len(units), n, n), dtype=np.int64)
+    for b, (i, j) in enumerate(units):
+        mats[b, i, j] = 1
+    mats.flags.writeable = False
+    return mats
 
 
 def levi_borel(n, flag: FlagType):

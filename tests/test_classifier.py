@@ -1,5 +1,6 @@
 import pytest
 
+from lieclass import classifier
 from lieclass.algebras import ModuleSpec, make_algebra
 from lieclass.classifier import (
     ClassificationDatum,
@@ -33,6 +34,11 @@ class TestDatum:
             ClassificationDatum((1,), [("sp", 3)])
         with pytest.raises(BadParameter):
             ClassificationDatum((1,), [("so", 2), ("sl", 2)])
+
+    def test_negative_trivial_count(self):
+        # sl(4) plus -1 trivial summands would claim the ambient C^3
+        with pytest.raises(BadParameter):
+            ClassificationDatum((2,), [("sl", 4)], trivial=-1)
 
 
 class TestFlagClassifier:
@@ -192,3 +198,63 @@ class TestCanonicalFlag:
         flag = canonical_flag((2, 1, 1), 4)
         assert flag.ambient == 4
         assert flag.dims == (1, 2)
+
+
+def _projective_data():
+    """The criterion-1 data with n <= 8 whose flag is P(V) or P(V*)."""
+    from test_acceptance import small_data
+
+    for d in small_data(range(2, 9)):
+        if d.dims in ((1,), (d.ambient - 1,)):
+            yield d
+
+
+class TestProjectiveTableQuestion:
+    """P(V) and P(V*) ask the module table one question, answered once per
+    (factors, trivial) and handed out in a fresh verdict each time."""
+
+    def test_line_and_hyperplane_ask_once(self, monkeypatch):
+        from lieclass import sphericaltable
+
+        asked, table = [], sphericaltable.is_spherical_module_by_table
+
+        def spy(*args, **kwargs):
+            asked.append(args)
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(sphericaltable, "is_spherical_module_by_table", spy)
+        classifier._projective_spherical.cache_clear()
+        factors = [("sp", 4), ("sl", 3)]
+        line = classify_flag_datum(ClassificationDatum((1,), factors, 1))
+        hyper = classify_flag_datum(ClassificationDatum((7,), factors, 1))
+        gr1 = classify_grassmannian(1, ClassificationDatum((1,), factors, 1))
+        assert len(asked) == 1
+        assert {(v.spherical, v.case_id, v.reason) for v in (line, hyper, gr1)} == {
+            (line.spherical, line.case_id, line.reason)
+        }
+
+    def test_cold_and_warm_answers_agree(self):
+        seen = 0
+        for d in _projective_data():
+            warm = classify_flag_datum(d)
+            classifier._projective_spherical.cache_clear()
+            cold = classify_flag_datum(d)
+            assert (warm.spherical, warm.case_id, warm.reason) == (
+                cold.spherical,
+                cold.case_id,
+                cold.reason,
+            ), d
+            seen += 1
+        assert seen > 100
+
+    @pytest.mark.parametrize(
+        "factors,trivial", [([("so", 5)], 0), ([("sp", 4), ("sl", 3)], 1)]
+    )
+    def test_changing_a_verdict_leaves_the_next_alone(self, factors, trivial):
+        d = ClassificationDatum((1,), factors, trivial)
+        first = classify_flag_datum(d)
+        want = (first.spherical, first.case_id, first.reason)
+        first.spherical, first.case_id, first.reason = False, None, "changed"
+        again = classify_flag_datum(d)
+        assert again is not first
+        assert (again.spherical, again.case_id, again.reason) == want

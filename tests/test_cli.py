@@ -154,6 +154,12 @@ class TestExitCodes:
         code, text = run_capture(["product", "--steps1", "0,0", "--steps2", "0"] + check)
         assert code == 2 and text.startswith("error:")
 
+    def test_negative_trivial_count_is_2(self):
+        code, text = run_capture(
+            ["classify", "--dims", "2", "--k", "sl(4)", "--trivial", "-1"]
+        )
+        assert code == 2 and text.startswith("error:")
+
     @pytest.mark.parametrize("n", ["1001", "100000", "1000000000"])
     def test_quiver_size_above_the_cap_is_2(self, n):
         start = time.perf_counter()

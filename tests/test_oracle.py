@@ -423,6 +423,32 @@ class TestResidues:
                 got = _flag_residues(_gl_borel(n), points, (flag, full))
                 assert got.shape[1] == flag.dim() + full.dim(), dims
 
+    def test_array_borel_gives_exact_rows(self):
+        # entries of L^-1 for the full flag of C^7 pass 2^63 at the full
+        # box, so an int64 Borel entry must not meet them unconverted
+        lists = make_algebra("gl", 7).borel_basis
+        array = _gl_borel(7)
+        assert array.dtype == np.int64 and array.tolist() == [
+            [list(r) for r in y] for y in lists
+        ]
+        full = FlagType(tuple(range(1, 7)), 7)
+        x = sample_flag_point(full, np.random.default_rng(7), COEFF_BOX)
+        assert max(abs(e) for row in x.g_inv for e in row) >= 2**63
+        rows = _constraint_rows(array, x)
+        assert rows == _constraint_rows(lists, x)
+        assert all(isinstance(e, int) for row in rows for e in row)
+        assert rank_exact(rows) == rank_exact(_constraint_rows(lists, x))
+        assert borel_orbit_dim_at(array, x) == borel_orbit_dim_at(lists, x)
+
+    def test_borel_arrays_are_built_once_and_read_only(self):
+        assert _gl_borel(5) is _gl_borel(5)
+        k = make_algebra("so", 5)
+        assert k.borel_array is k.borel_array
+        assert k.borel_array.tolist() == [[list(r) for r in y] for y in k.borel_basis]
+        for mats in (_gl_borel(5), k.borel_array):
+            with pytest.raises(ValueError):
+                mats[0, 0, 0] = 7
+
     def test_box_too_large_for_int64_is_refused(self):
         k = make_algebra("sl", 3)
         with pytest.raises(TooLarge):
@@ -658,13 +684,25 @@ class TestStabilizerCertificate:
         self, monkeypatch, cases, box, seed
     ):
         """The verdict's rank is the largest mod-p rank of all five samples,
-        formed at once by _flag_residues, however few the scan ranked.  At
-        box 1 many samples fall below the generic rank, so a scan that
-        stopped too soon would report less than the maximum."""
+        drawn and formed at once by _flag_residues, however few the scan
+        ranked.  At box 1 many samples fall below the generic rank, so a
+        scan that stopped too soon would report less than the maximum.
+        The call itself draws the points of the samples it ranks and no
+        more, and they are the points of the up-front draw."""
         calls, stops = self._record(monkeypatch), 0
+        drawn, draw = [], oracle.sample_flag_point
+
+        def counted(*args):
+            drawn.append(args[0])
+            return draw(*args)
+
         for n, k, flags in getattr(self, cases)():
+            drawn.clear()
+            monkeypatch.setattr(oracle, "sample_flag_point", counted)
             v = oracle._flag_verdict(n, k, flags, 5, seed, box)
+            monkeypatch.setattr(oracle, "sample_flag_point", draw)
             ranked = calls[-1]["ranked"]
+            assert drawn == list(flags) * len(ranked)
             rng = np.random.default_rng(seed)
             points = [
                 tuple(sample_flag_point(f, rng, box) for f in flags)
@@ -676,6 +714,8 @@ class TestStabilizerCertificate:
             before = max((ranks[i] for i in ranked[:-1]), default=-1)
             if v.kind == "Yes":
                 assert ranks[ranked[-1]] >= v.target > before
+                got = v.certificate if len(flags) > 1 else (v.certificate,)
+                assert [x.g for x in got] == [x.g for x in points[ranked[-1]]]
             else:
                 assert v.rank == max(ranks)
                 if len(ranked) < 5:
@@ -695,6 +735,18 @@ class TestStabilizerCertificate:
         full = FlagType(tuple(range(1, 8)), 8)
         v = is_spherical_flag(make_algebra("sl", 8), full, samples=20)
         assert v.kind == "Yes" and formed == [1]
+
+    def test_yes_at_the_first_sample_draws_its_point_alone(self, monkeypatch):
+        drawn, draw = [], oracle.sample_flag_point
+
+        def counted(*args):
+            drawn.append(args[0])
+            return draw(*args)
+
+        monkeypatch.setattr(oracle, "sample_flag_point", counted)
+        full = FlagType(tuple(range(1, 8)), 8)
+        v = is_spherical_flag(make_algebra("sl", 8), full, samples=1000)
+        assert v.kind == "Yes" and drawn == [full]
 
     def test_forged_lift_is_rejected_and_bareiss_decides(self, monkeypatch):
         # two full flags of C^4 under the gl_4 Borel: the kernel is the scalars
