@@ -28,7 +28,6 @@ _EXPORTS = {
     "joseph": ("bounded_count_sl", "is_joseph_sl", "is_joseph_sp", "odd_pair"),
     "oracle": (
         "OracleVerdict",
-        "complexity_flag",
         "is_spherical_flag",
         "is_spherical_module",
     ),

@@ -3,7 +3,9 @@
 All bases are integer matrices.  so_n and sp_n are realized through
 ANTIDIAGONAL bilinear forms, so the intersection with upper-triangular
 matrices is a genuine Borel subalgebra and no triangular decomposition has
-to be computed.  Modules built from factors (naturals, duals, symmetric and
+to be computed.  Their bases are written down in closed form (_form_basis):
+each equation of the form pairs two matrix entries, so no linear system
+is solved.  Modules built from factors (naturals, duals, symmetric and
 exterior squares, two-factor tensor products, trivial summands) are
 assembled by pushing each factor's basis through the representation maps.
 make_algebra, representation and the flag oracle refuse (TooLarge) any
@@ -98,43 +100,33 @@ def _unit(n, i, j):
     return m
 
 
-def _form_so(n):
-    f = [[0] * n for _ in range(n)]
-    for i in range(n):
-        f[i][n - 1 - i] = 1
-    return f
+def _form_basis(n, signs):
+    """Basis of {x : x^T F + F x = 0} for the antidiagonal form
+    F[i][n-1-i] = signs[i], and its Borel, in closed form.
 
-
-def _form_sp(n):
-    f = [[0] * n for _ in range(n)]
-    for i in range(n):
-        f[i][n - 1 - i] = 1 if i < n // 2 else -1
-    return f
-
-
-def _form_algebra(n, form, upper_only=False):
-    """Basis of {x : x^T F + F x = 0}, optionally intersected with upper
-    triangular matrices, found as an exact nullspace."""
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for a in range(n):
-                # coefficient of x_{a i} in (x^T F)_{ij} is F[a][j]
-                row[a * n + i] += form[a][j]
-                # coefficient of x_{a j} in (F x)_{ij} is F[i][a]
-                row[a * n + j] += form[i][a]
-            rows.append(row)
-    if upper_only:
-        for a in range(n):
-            for b in range(a):
-                row = [0] * (n * n)
-                row[a * n + b] = 1
-                rows.append(row)
-    basis = []
-    for v in linalg.nullspace(rows):
-        basis.append([v[i * n : (i + 1) * n] for i in range(n)])
-    return basis
+    With i' = n-1-i the entries (i, j) of x^T F + F x read
+    s_j' x_j'i + s_i x_i'j, so the equations pair x_ab with x_b'a' and
+    x_b'a' = -s_a' s_b' x_ab.  Walking the flat index f = a n + b, a pair
+    gives E_ab - s_a' s_b' E_b'a' at the later of its two indices, and an
+    entry that is its own partner (b = a') is free exactly when
+    s_a s_a' = -1, which for sp it always is.  Elements with a <= b are
+    upper triangular and span the Borel."""
+    basis, borel = [], []
+    for a in range(n):
+        for b in range(n):
+            ra, rb = n - 1 - a, n - 1 - b
+            partner = rb * n + ra
+            if partner < a * n + b:
+                m = _unit(n, a, b)
+                m[rb][ra] = -signs[ra] * signs[rb]
+            elif partner == a * n + b and signs[a] != signs[ra]:
+                m = _unit(n, a, b)
+            else:
+                continue
+            basis.append(m)
+            if a <= b:
+                borel.append(m)
+    return basis, borel
 
 
 def make_algebra(tag, n):
@@ -161,14 +153,12 @@ def make_algebra(tag, n):
     elif tag == "so":
         if n < 3:
             raise BadParameter("so needs n >= 3")
-        basis = _form_algebra(n, _form_so(n))
-        borel = _form_algebra(n, _form_so(n), upper_only=True)
+        basis, borel = _form_basis(n, [1] * n)
         rank = n // 2
     elif tag == "sp":
         if n < 2 or n % 2:
             raise BadParameter("sp needs even n >= 2")
-        basis = _form_algebra(n, _form_sp(n))
-        borel = _form_algebra(n, _form_sp(n), upper_only=True)
+        basis, borel = _form_basis(n, [1] * (n // 2) + [-1] * (n // 2))
         rank = n // 2
     else:
         raise BadParameter("unknown algebra tag %r" % (tag,))

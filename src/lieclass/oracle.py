@@ -13,15 +13,14 @@ over Q is the stabilizer algebra b_x of the point, so r = m - dim b_x.  The
 proof is a stabilizer certificate: the mod-p kernel of the best sample's
 echelon form (kept from the scan) has m - r_p vectors, each 1 at its own
 free column and 0 at the others; each is lifted to a primitive integer
-vector v by rational reconstruction and checked exactly to lie in b_x.  For
-a flag, Y = sum v_b y_b must fix every flag of the sample: the chart
-entries of g^-1 Y g vanish (a scalar Y passes unconjugated).  For a module,
-sum v_b (y_b . w) = 0 over Z.  When every lift passes, r = r_p: r >= r_p
-always, and the lifts are independent, each reducing to a unit multiple of
-its mod-p vector (every denominator is below p), so r <= m - (m - r_p).
-When a kernel entry does not reconstruct from one prime, or a lift fails
-its check, the best sample's exact rows are ranked by Bareiss elimination,
-which may still find a Yes.
+vector v by rational reconstruction and checked against the sample's exact
+rows: rows . v = 0 over Z says that v lies in b_x (for a flag, the chart
+entries of g^-1 Y g vanish, Y = sum v_b y_b; for a module, Y . w = 0).
+When every lift passes, r = r_p: r >= r_p always, and the lifts are
+independent, each reducing to a unit multiple of its mod-p vector (every
+denominator is below p), so r <= m - (m - r_p).  When a kernel entry does
+not reconstruct from one prime, or a lift fails its check, the same exact
+rows are ranked by Bareiss elimination, which may still find a Yes.
 
 Points on a flag variety G/P are sampled in its big cell N^-_P . P/P, the
 open affine chart given by the Bruhat decomposition: g = L is unit lower
@@ -48,23 +47,23 @@ first asks about that sample.  The scan visits the samples in order and
 the generator is sequential, so every sample gets the points an up-front
 draw would give it, and a call that stops at sample i draws i + 1 samples.
 The Borel basis enters as one read-only int64 (m, n, n) array, built once
-per algebra (CatalogAlgebra.borel_array) or per gl_n (_gl_borel); the
-exact paths turn it back into Python ints.  Each sample's constraint rows
-are formed only when the scan asks for them, as int64 residues mod
-MOD_PRIME: g^-1 y g = L^-1 (y L) for the whole Borel basis is one
-(m, n, dmax) array per flag, L^-1 is applied by forward substitution so
-that every product is a box-sized entry of L times a residue (no int64
-overflow), and the rows are gathered at the chart coordinates, the entries
-of g^-1 y g that must vanish, so each flag gives dim G/P rows.  A Yes or
-an early stop at the first sample pays for that sample alone.  Exact
-integers remain in three places only: the point g, g^-1 of a Yes
-certificate, formed from L when first read, the stabilizer check
-L^-1 (Y L) of the best failing sample, and, when that check cannot prove
-the rank, that sample's rows for Bareiss, built from the nonzero entries
-of each Borel matrix.  The module oracle draws all its points at once,
-forms its rows as one int64 product and reduces them mod p.  A call whose
-int64 residues, summed over its samples, would pass MAX_CELLS is refused
-with TooLarge before anything is drawn.
+per algebra (CatalogAlgebra.borel_array) or per gl_n (_gl_borel).  One
+routine, _flag_residues, conjugates it by a sample's points, and only when
+the scan asks: g^-1 y g = L^-1 (y L) for the whole Borel basis is one
+(m, n, dmax) array per flag, L^-1 is applied by forward substitution, and
+the rows are gathered at the chart coordinates, the entries of g^-1 y g
+that must vanish, so each flag gives dim G/P rows.  Mod MOD_PRIME every
+product is a box-sized entry of L times a residue (no int64 overflow);
+the same steps over Python ints give the exact rows.  A Yes or an early
+stop at the first sample pays for that sample's residues alone.  Exact
+integers appear in two places only: the point g, g^-1 of a Yes
+certificate, formed from L when read, and the exact rows of the best
+sample of a scan that does not stop early, which the lifts are checked
+against and Bareiss ranks when that check fails.  The module oracle
+draws all its points at once and forms its rows as one int64 product,
+exact since every partial sum stays below 2^63, then reduces them mod p.
+A call whose int64 residues, summed over its samples, would pass
+MAX_CELLS is refused with TooLarge before anything is drawn.
 """
 
 from __future__ import annotations
@@ -99,53 +98,29 @@ def _check_cells(cells):
 
 
 class FlagPoint:
-    """A flag given by an invertible integer matrix: the first n_i columns
-    of g span the i-th subspace.
+    """A sampled point of a flag variety, stored as its int64 chart factor
+    g = L (``lower``), unit lower triangular: the first d columns of g span
+    the subspace of dimension d of each step.  g and g^-1 = L^-1 are exact
+    views, nested lists of Python ints formed when read."""
 
-    A sampled point keeps its int64 chart factor g = L (``lower``) and
-    forms the exact g and g^-1 = L^-1 from it when first read."""
+    __slots__ = ("ambient", "dims", "lower")
 
-    __slots__ = ("ambient", "dims", "lower", "_g", "_g_inv")
-
-    def __init__(self, ambient, dims, g, g_inv=None):
-        if g_inv is None:
-            raise DimensionMismatch("g_inv required")
-        self.ambient = ambient
-        self.dims = tuple(dims)
-        self.lower = None
-        self._g = [list(row) for row in g]
-        self._g_inv = [list(row) for row in g_inv]
+    def __init__(self, flag: FlagType, lower):
+        self.ambient = flag.ambient
+        self.dims = tuple(flag.dims)
+        self.lower = lower
 
     @classmethod
     def standard(cls, flag: FlagType):
-        n = flag.ambient
-        ident = linalg.identity(n)
-        return cls(n, flag.dims, ident, ident)
-
-    @classmethod
-    def from_factors(cls, flag: FlagType, lower):
-        """The point g = lower, for a unit lower triangular integer array."""
-        x = cls.__new__(cls)
-        x.ambient = flag.ambient
-        x.dims = tuple(flag.dims)
-        x.lower = lower
-        x._g = x._g_inv = None
-        return x
-
-    def _exact(self):
-        if self._g is None:
-            self._g = self.lower.tolist()
-            self._g_inv = linalg.invert_unit_lower(self._g)
+        return cls(flag, np.eye(flag.ambient, dtype=np.int64))
 
     @property
     def g(self):
-        self._exact()
-        return self._g
+        return self.lower.tolist()
 
     @property
     def g_inv(self):
-        self._exact()
-        return self._g_inv
+        return linalg.invert_unit_lower(self.g)
 
     def __repr__(self):
         return "FlagPoint(n=%d, dims=%r)" % (self.ambient, self.dims)
@@ -196,7 +171,7 @@ def sample_flag_point(flag: FlagType, rng, box=COEFF_BOX) -> FlagPoint:
     chart = _chart_index(n, flag.dims)
     lower = np.eye(n, dtype=np.int64)
     lower.flat[chart] = rng.integers(-box, box + 1, size=len(chart))
-    return FlagPoint.from_factors(flag, lower)
+    return FlagPoint(flag, lower)
 
 
 def _borel_of(b):
@@ -207,16 +182,6 @@ def _borel_of(b):
     if isinstance(b, np.ndarray):
         return b
     return np.array(list(b), dtype=np.int64)
-
-
-def _exact_borel(borel):
-    """The Borel basis as nested lists of Python ints, for the exact
-    paths: an int64 entry times an entry of L^-1 past 2^63 would wrap."""
-    if isinstance(borel, CatalogAlgebra):
-        return borel.borel_basis
-    if isinstance(borel, np.ndarray):
-        return borel.tolist()
-    return list(borel)
 
 
 @lru_cache(maxsize=4096)
@@ -233,97 +198,75 @@ def _chart_index(n, dims):
     return chart
 
 
-def _constraint_rows(borel_mats, x: FlagPoint):
-    """Rows of the map  coefficients -> violated flag-stability entries,
-    one row per chart coordinate, so dim G/P rows.
-
-    y fixes the flag iff (g^-1 y g) keeps every coordinate subspace
-    span(e_0..e_{d-1}), that is, iff its entries (r, k) with k below the
-    last step d <= r vanish: the chart coordinates of _chart_index, which
-    are the coordinates of g/p.  The rank of the rows is the orbit
-    dimension.  Exact integers: entry (r, k) is summed over the nonzero
-    y[i][j] only.
-    """
-    borel_mats = _exact_borel(borel_mats)
-    n, g, g_inv = x.ambient, x.g, x.g_inv
-    terms = [
-        (b, i, j, v)
-        for b, y in enumerate(borel_mats)
-        for i, row in enumerate(y)
-        for j, v in enumerate(row)
-        if v
-    ]
-    rows = []
-    for c in _chart_index(n, x.dims).tolist():
-        r, k = divmod(c, n)
-        gr, gk = g_inv[r], [row[k] for row in g]
-        out = [0] * len(borel_mats)
-        for b, i, j, v in terms:
-            out[b] += v * gr[i] * gk[j]
-        rows.append(out)
-    return rows
-
-
 def _flag_residues(borel, points, flags, p=MOD_PRIME):
-    """Constraint rows of every sample mod p, shape (samples, rows, m).
+    """Constraint rows of every sample, shape (samples, rows, m): int64
+    residues mod p, or for p None the exact rows, Python ints in an object
+    array.
 
     points[s] holds one sampled point per flag; the rows of the flags are
     stacked in order, one row per chart coordinate of each flag (dim G/P
-    rows), ordered as in _constraint_rows.  Every product taken is a
-    residue times an entry of L, so it stays in int64 while
-    n * box * p < 2^63.
+    rows), row by row.  Entry (c, b) is the chart entry c of
+    g^-1 y_b g = L^-1 (y_b L).  y fixes the flag iff every chart entry
+    vanishes, so the kernel is the stabilizer and the rank the orbit
+    dimension.  Mod p every product taken is a residue times an entry of
+    L, so it stays in int64 while n * box * p < 2^63.  For the exact rows
+    the same steps run over Python ints: entries of L^-1 pass 2^63.
     """
     n, m = flags[0].ambient, len(borel)
-    borel = np.asarray(borel, dtype=np.int64).reshape(m, n, n) % p
+    borel = np.asarray(borel, dtype=np.int64).reshape(m, n, n)
+    borel = borel.astype(object) if p is None else borel % p
     blocks = []
     for f, flag in enumerate(flags):
         rr, kk = np.divmod(_chart_index(n, flag.dims), n)
         lower = np.stack([x[f].lower for x in points])
+        if p is None:
+            lower = lower.astype(object)
         hi = max(flag.dims)
         # Columns k < hi of y L, then L^-1 by forward substitution: L is
         # zero below the diagonal in columns j >= hi (the last block).
-        a = np.matmul(borel, lower[:, None, :, :hi]) % p
+        a = np.matmul(borel, lower[:, None, :, :hi])
+        if p is not None:
+            a %= p
         for j in range(hi):
             a[:, :, j + 1 :] -= lower[:, None, j + 1 :, j, None] * a[:, :, j, None]
-            a[:, :, j + 1 :] %= p
+            if p is not None:
+                a[:, :, j + 1 :] %= p
         blocks.append(a[:, :, rr, kk].transpose(0, 2, 1))
     return np.concatenate(blocks, axis=1)
 
 
 def borel_orbit_dim_at(b, x: FlagPoint):
     """Exact dimension of the orbit of the Borel b through the flag x."""
-    borel = _exact_borel(b)
-    if len(borel) and len(borel[0]) != x.ambient:
+    borel = _borel_of(b)
+    if len(borel) and borel.shape[-1] != x.ambient:
         raise DimensionMismatch(
             "Borel acts on C^%d, point lives in C^%d"
-            % (len(borel[0]), x.ambient)
+            % (borel.shape[-1], x.ambient)
         )
-    rows = _constraint_rows(borel, x)
-    if not rows or not borel:
-        return 0
-    return rank_exact(rows)
+    flag = FlagType(x.dims, x.ambient)
+    return rank_exact(_flag_residues(borel, [(x,)], (flag,), None)[0].tolist())
 
 
-def _scan(target, residues, exact_rows, certificate, stabilizes, samples, seed):
+def _scan(target, residues, exact_rows, certificate, acts_trivially, samples, seed):
     """Shared max-rank loop: modular rank per sample, Yes on certification,
     otherwise the exact rank at the best sample, proved by a stabilizer
     certificate or, failing that, by Bareiss.
 
     residues(i) is the constraint matrix of sample i mod p, one column per
-    Borel basis element, exact_rows(i) the same map over Z (asked for only
-    when the certificate fails), certificate(i) the point a Yes at sample
-    i carries, and stabilizes(i, v) whether the integer combination v of
-    the Borel basis lies in the stabilizer of sample i, checked exactly;
-    stabilizes(None, v) asks whether v acts trivially at every point.
+    Borel basis element, exact_rows(i) the same matrix over Z as an object
+    array (formed once, for the best sample of a scan that does not stop
+    early), certificate(i) the point a Yes at sample i carries, and
+    acts_trivially(v) whether the integer combination v of the Borel
+    basis acts trivially at every point, checked exactly.
 
     Early stop: when a sample sets a new best rank r_p, its mod-p kernel
-    is lifted at once.  If every lift acts trivially at every point (or
-    the kernel is empty), each lift lies in every point's stabilizer, so
-    no sample can rank above r_p and r_p is exact: the scan returns
-    ProbablyNo(r_p) without ranking the rest.  A later sample could only
-    tie, and ties never replace the best, so the verdict is the full
-    scan's.  Otherwise the lifts are kept for the best sample's
-    certificate at the end of the scan."""
+    is lifted at once.  If every lift acts trivially (or the kernel is
+    empty), each lift lies in every point's stabilizer, so no sample can
+    rank above r_p and r_p is exact: the scan returns ProbablyNo(r_p)
+    without ranking the rest.  A later sample could only tie, and ties
+    never replace the best, so the verdict is the full scan's.  Otherwise
+    the lifts are kept for the best sample's certificate at the end of
+    the scan."""
     best_rank, best_index, lifts = -1, -1, None
     for idx in range(samples):
         res = residues(idx)
@@ -336,12 +279,12 @@ def _scan(target, residues, exact_rows, certificate, stabilizes, samples, seed):
         if rp > best_rank:
             best_rank, best_index = rp, idx
             lifts = _lift_kernel(echelon, rp)
-            if _stabilizer_certified(lifts, partial(stabilizes, None)):
+            if lifts is not None and all(map(acts_trivially, lifts)):
                 return OracleVerdict("ProbablyNo", rp, target, samples, seed)
-    if _stabilizer_certified(lifts, partial(stabilizes, best_index)):
-        return OracleVerdict("ProbablyNo", best_rank, target, samples, seed)
     rows = exact_rows(best_index)
-    exact = rank_exact(rows) if rows and rows[0] else 0
+    if _stabilizer_certified(lifts, rows):
+        return OracleVerdict("ProbablyNo", best_rank, target, samples, seed)
+    exact = rank_exact(rows.tolist())
     if exact >= target:
         return OracleVerdict(
             "Yes", target, target, samples, seed, certificate(best_index)
@@ -362,47 +305,19 @@ def _lift_kernel(echelon, rank):
     return lifts
 
 
-def _stabilizer_certified(lifts, stabilizes):
-    """Whether the mod-p rank the lifts came from is the exact rank: every
-    lift exists and stabilizes() confirms it over Z.
+def _stabilizer_certified(lifts, rows):
+    """Whether the mod-p rank the lifts came from is the exact rank of the
+    integer rows: every lift exists and rows . v = 0 over Z.
 
     The rank over Q is never below the rank mod p, and k exact kernel
     vectors bound it by m - k from above once they are independent.  They
     are: each lift reduces to a unit multiple of its mod-p vector, which
-    is 1 at its own free column and 0 at the others."""
-    return lifts is not None and all(stabilizes(w) for w in lifts)
-
-
-def _flag_stabilizes(mats, points):
-    """stabilizes(i, v) of the flag scan: Y = sum v_b y_b fixes every flag
-    of sample i, the points points(i), that is, the chart entries of
-    g^-1 Y g all vanish, found exactly as L^-1 (Y L) by forward
-    substitution.  A scalar Y fixes every flag without conjugating, so
-    stabilizes(None, v), asked for every point at once, is the test for a
-    scalar Y."""
-    n = mats.shape[1]
-
-    def stabilizes(i, v):
-        v = np.array(v, dtype=object)
-        nz = np.flatnonzero(v)
-        y = np.dot(v[nz], mats[nz].reshape(len(nz), -1).astype(object))
-        y = y.reshape(n, n)
-        if not np.count_nonzero(y - np.diag([y[0, 0]] * n)):
-            return True
-        if i is None:
-            return False
-        for x in points(i):
-            rr, kk = np.divmod(_chart_index(n, x.dims), n)
-            hi = max(x.dims)
-            lower = x.lower.astype(object)
-            a = np.dot(y, lower[:, :hi])
-            for j in range(hi):
-                a[j + 1 :] -= lower[j + 1 :, j, None] * a[j]
-            if np.count_nonzero(a[rr, kk]):
-                return False
-        return True
-
-    return stabilizes
+    is 1 at its own free column and 0 at the others.  The scan asks only
+    after a sample whose kernel did not stop it, so a list of lifts is
+    never empty."""
+    return lifts is not None and not np.count_nonzero(
+        np.dot(rows, np.array(lifts, dtype=object).T)
+    )
 
 
 def _flag_verdict(n, k, flags, samples, seed, box):
@@ -441,21 +356,25 @@ def _flag_verdict(n, k, flags, samples, seed, box):
             drawn.append(tuple(sample_flag_point(f, rng, box) for f in flags))
         return drawn[i]
 
-    def residues(i):
-        return _flag_residues(mats, [points(i)], flags)[0]
-
-    def exact_rows(i):
-        return [row for x in points(i) for row in _constraint_rows(mats, x)]
+    def residues(i, p=MOD_PRIME):
+        return _flag_residues(mats, [points(i)], flags, p)[0]
 
     def certificate(i):
         return points(i) if len(flags) > 1 else points(i)[0]
 
+    def acts_trivially(v):
+        # a scalar Y = sum v_b y_b fixes every flag
+        v = np.array(v, dtype=object)
+        nz = np.flatnonzero(v)
+        y = np.dot(v[nz], mats[nz].reshape(len(nz), n * n).astype(object))
+        return not np.count_nonzero(y.reshape(n, n) - np.diag([y[0]] * n))
+
     return _scan(
         sum(f.dim() for f in flags),
         residues,
-        exact_rows,
+        partial(residues, p=None),
         certificate,
-        _flag_stabilizes(mats, points),
+        acts_trivially,
         samples,
         seed,
     )
@@ -465,10 +384,6 @@ def is_spherical_flag(
     k, flag: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX
 ) -> OracleVerdict:
     return _flag_verdict(flag.ambient, k, (flag,), samples, seed, box)
-
-
-def complexity_flag(k, flag: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX):
-    return _flag_verdict(flag.ambient, k, (flag,), samples, seed, box).complexity
 
 
 def is_spherical_module(
@@ -509,23 +424,22 @@ def is_spherical_module(
         )
     rng = np.random.default_rng(seed)
     points = rng.integers(-box, box + 1, size=(samples, n))
-    # rows[s, b] = borel[b] . points[s], every partial sum below 2^63
-    rows = np.matmul(borel, points.T).transpose(2, 0, 1)
-    # the scan ranks the transpose: one column per Borel basis element
-    residues = rows.transpose(0, 2, 1) % MOD_PRIME
+    # rows[s, j, b] = (borel[b] . points[s])_j, every partial sum below
+    # 2^63: one column per Borel basis element, as the scan ranks them
+    rows = np.matmul(borel, points.T).transpose(2, 1, 0)
+    residues = rows % MOD_PRIME
+    flat = borel.reshape(len(borel), n * n)
 
-    def stabilizes(i, v):
-        """Y = sum v_b y_b kills the point w_i; for i None, Y = 0, which
-        kills every point."""
-        at = borel.reshape(len(borel), -1) if i is None else rows[i]
-        return not np.count_nonzero(np.dot(v, at.astype(object)))
+    def acts_trivially(v):
+        # Y = sum v_b y_b = 0 kills every point
+        return not np.count_nonzero(np.dot(v, flat.astype(object)))
 
     return _scan(
         n,
         residues.__getitem__,
-        lambda i: rows[i].tolist(),
+        lambda i: rows[i].astype(object),
         points.tolist().__getitem__,
-        stabilizes,
+        acts_trivially,
         samples,
         seed,
     )

@@ -91,6 +91,54 @@ class TestMakeAlgebra:
         assert normalizer_in_gl(rep, [doubled, ident]).basis == norm.basis
 
 
+def _form_algebra(n, form, upper_only=False):
+    """Reference: basis of {x : x^T F + F x = 0}, optionally intersected
+    with upper triangular matrices, solved as an exact nullspace."""
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for a in range(n):
+                # coefficient of x_{a i} in (x^T F)_{ij} is F[a][j]
+                row[a * n + i] += form[a][j]
+                # coefficient of x_{a j} in (F x)_{ij} is F[i][a]
+                row[a * n + j] += form[i][a]
+            rows.append(row)
+    if upper_only:
+        for a in range(n):
+            for b in range(a):
+                row = [0] * (n * n)
+                row[a * n + b] = 1
+                rows.append(row)
+    return [
+        tuple(tuple(v[i * n : (i + 1) * n]) for i in range(n))
+        for v in linalg.nullspace(rows)
+    ]
+
+
+def _antidiagonal(n, signs):
+    f = [[0] * n for _ in range(n)]
+    for i in range(n):
+        f[i][n - 1 - i] = signs[i]
+    return f
+
+
+class TestClosedFormBases:
+    """The closed-form so_n and sp_n bases equal the solved form equations,
+    element by element in order and sign, for the algebra and its Borel."""
+
+    @pytest.mark.parametrize(
+        "tag,n",
+        [("so", n) for n in range(3, 17)] + [("sp", n) for n in range(2, 17, 2)],
+    )
+    def test_equal_to_the_nullspace(self, tag, n):
+        signs = [1] * n if tag == "so" else [1] * (n // 2) + [-1] * (n // 2)
+        form = _antidiagonal(n, signs)
+        k = make_algebra(tag, n)
+        assert k.basis == _form_algebra(n, form)
+        assert k.borel_basis == _form_algebra(n, form, upper_only=True)
+
+
 class TestRepresentation:
     def test_natural_plus_dual(self):
         k = make_algebra("sl", 3)

@@ -18,11 +18,9 @@ from lieclass.oracle import (
     COEFF_BOX,
     FlagPoint,
     OracleVerdict,
-    _constraint_rows,
     _flag_residues,
     _gl_borel,
     borel_orbit_dim_at,
-    complexity_flag,
     is_spherical_flag,
     is_spherical_module,
     levi_borel,
@@ -31,7 +29,7 @@ from lieclass.oracle import (
     sample_flag_point,
 )
 from lieclass.partitions import FlagType, canonical_flag
-from lieclass.rank import MOD_PRIME, rank_exact, rank_modp, reduce_mod
+from lieclass.rank import MOD_PRIME, rank_exact, rank_modp
 
 
 class TestFlagPoint:
@@ -42,13 +40,9 @@ class TestFlagPoint:
         assert all(isinstance(e, int) for row in x.g for e in row)
         assert all(isinstance(e, int) for row in x.g_inv for e in row)
 
-    def test_inverse_required(self):
-        with pytest.raises(DimensionMismatch):
-            FlagPoint(3, (1,), linalg.identity(3))
-
     def test_standard_point(self):
         x = FlagPoint.standard(FlagType((2,), 4))
-        assert x.g == linalg.identity(4)
+        assert x.g == x.g_inv == linalg.identity(4)
 
 
 class TestOrbitDim:
@@ -98,12 +92,6 @@ class TestFlagOracle:
         k = make_algebra("sp", 4)
         with pytest.raises(DimensionMismatch):
             is_spherical_flag(k, FlagType((1,), 6))
-
-    def test_complexity_matches_verdict(self):
-        k = make_algebra("so", 6)
-        flag = FlagType((1, 2), 6)
-        v = is_spherical_flag(k, flag, seed=4)
-        assert complexity_flag(k, flag, seed=4) == v.target - v.rank
 
 
 class TestReproducibility:
@@ -205,11 +193,9 @@ class TestModuleRows:
         spec = ModuleSpec(summands)
         seen, scan = {}, oracle._scan
 
-        def spy(target, residues, exact_rows, certificate, stabilizes, samples, seed):
+        def spy(target, residues, exact_rows, certificate, *rest):
             seen.update(residues=residues, exact_rows=exact_rows, cert=certificate)
-            return scan(
-                target, residues, exact_rows, certificate, stabilizes, samples, seed
-            )
+            return scan(target, residues, exact_rows, certificate, *rest)
 
         monkeypatch.setattr(oracle, "_scan", spy)
         is_spherical_module(ks, spec, with_scalar, samples=4, seed=9, box=COEFF_BOX)
@@ -217,11 +203,14 @@ class TestModuleRows:
             representation(ks, spec), with_scalar, 4, 9, COEFF_BOX
         )
         for i in range(4):
-            assert seen["cert"](i) == points[i]
-            assert seen["exact_rows"](i) == rows[i]
             # the scan ranks the transpose: one column per Borel element
-            assert seen["residues"](i).T.tolist() == [
-                [x % MOD_PRIME for x in row] for row in rows[i]
+            want = [list(col) for col in zip(*rows[i])]
+            exact = seen["exact_rows"](i).tolist()
+            assert seen["cert"](i) == points[i]
+            assert exact == want
+            assert all(type(e) is int for row in exact for e in row)
+            assert seen["residues"](i).tolist() == [
+                [x % MOD_PRIME for x in row] for row in want
             ]
 
     def test_box_too_large_for_int64_is_refused(self):
@@ -310,17 +299,26 @@ class TestRandomStream:
         assert int(rng.integers(-50, 51)) == int(ref.integers(-50, 51))
 
 
-def _conjugation_rows(borel, x):
-    """Constraint rows from the full products g^-1 y g: the definition
-    that _constraint_rows computes from the nonzero entries of y.  Each
-    entry (r, k) that must vanish, k below the last step <= r, once, row
-    by row."""
-    conj = [linalg.matmul(linalg.matmul(x.g_inv, [list(r) for r in y]), x.g)
-            for y in borel]
+def _conjugation_rows(borel, dims, g, g_inv):
+    """Constraint rows from the full products g^-1 y g over Python ints,
+    for any invertible g: the definition that _flag_residues computes by
+    forward substitution from L.  Each entry (r, k) that must vanish, k
+    below the last step <= r, once, row by row."""
+    conj = [
+        linalg.matmul(linalg.matmul(g_inv, [[int(e) for e in r] for r in y]), g)
+        for y in borel
+    ]
     return [
         [c[r][k] for c in conj]
-        for r in range(x.ambient)
-        for k in range(max((d for d in x.dims if d <= r), default=0))
+        for r in range(len(g))
+        for k in range(max((d for d in dims if d <= r), default=0))
+    ]
+
+
+def _point_rows(borel, xs):
+    """The reference rows of one sample, the flags' rows stacked."""
+    return [
+        row for x in xs for row in _conjugation_rows(borel, x.dims, x.g, x.g_inv)
     ]
 
 
@@ -344,7 +342,8 @@ def _algebras():
 
 
 class TestResidues:
-    """The batched residues mod p equal the exact rows reduced mod p."""
+    """The exact rows of _flag_residues equal the full conjugation g^-1 y g
+    over Python ints, and its residues mod p equal them reduced mod p."""
 
     @staticmethod
     def _check(borel, flags, seed, samples=3):
@@ -354,11 +353,14 @@ class TestResidues:
             for _ in range(samples)
         ]
         got = _flag_residues(borel, points, flags)
+        exact = _flag_residues(borel, points, flags, None)
+        rows = sum(f.dim() for f in flags)
+        assert got.shape == exact.shape == (samples, rows, len(borel))
+        assert got.dtype == np.int64
         for s, xs in enumerate(points):
-            exact = [row for x in xs for row in _constraint_rows(borel, x)]
-            want = reduce_mod(exact).reshape(len(exact), len(borel))
-            assert got[s].shape == want.shape
-            assert np.array_equal(got[s], want)
+            want = _point_rows(borel, xs)
+            assert exact[s].tolist() == want
+            assert got[s].tolist() == [[e % MOD_PRIME for e in row] for row in want]
 
     @pytest.mark.parametrize(
         "k", list(_algebras()), ids=lambda k: "%s%d" % (k.meta["type"], k.n)
@@ -384,21 +386,11 @@ class TestResidues:
         flag = FlagType((1, 2), 4)
         rng = np.random.default_rng(0)
         points = [(sample_flag_point(flag, rng),) for _ in range(2)]
-        got = _flag_residues([], points, (flag,))
-        rows = len(_constraint_rows([], points[0][0]))
-        assert got.shape == (2, rows, 0)
+        for p in (MOD_PRIME, None):
+            got = _flag_residues([], points, (flag,), p)
+            assert got.shape == (2, flag.dim(), 0)
         v = is_spherical_flag([], flag, seed=1)
         assert v.kind == "ProbablyNo" and v.rank == 0
-
-    @pytest.mark.parametrize("tag,n", [("gl", 2), ("so", 5), ("sp", 6)])
-    def test_exact_rows_match_full_conjugation(self, tag, n):
-        k = make_algebra(tag, n)
-        rng = np.random.default_rng(n)
-        for flag in _flags_of(n):
-            x = sample_flag_point(flag, rng)
-            assert _constraint_rows(k.borel_basis, x) == _conjugation_rows(
-                k.borel_basis, x
-            )
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_one_row_per_chart_coordinate(self, n):
@@ -414,7 +406,8 @@ class TestResidues:
         for length in range(1, n):
             for dims in itertools.combinations(range(1, n), length):
                 flag = FlagType(dims, n)
-                rows = _constraint_rows(units, FlagPoint.standard(flag))
+                x = FlagPoint.standard(flag)
+                rows = _flag_residues(units, [(x,)], (flag,), None)[0].tolist()
                 entries = [row.index(1) for row in rows]
                 assert all(sum(row) == 1 for row in rows), dims
                 assert len(set(entries)) == len(entries) == flag.dim(), dims
@@ -425,7 +418,7 @@ class TestResidues:
 
     def test_array_borel_gives_exact_rows(self):
         # entries of L^-1 for the full flag of C^7 pass 2^63 at the full
-        # box, so an int64 Borel entry must not meet them unconverted
+        # box, so the exact rows must be formed over Python ints
         lists = make_algebra("gl", 7).borel_basis
         array = _gl_borel(7)
         assert array.dtype == np.int64 and array.tolist() == [
@@ -433,12 +426,13 @@ class TestResidues:
         ]
         full = FlagType(tuple(range(1, 7)), 7)
         x = sample_flag_point(full, np.random.default_rng(7), COEFF_BOX)
-        assert max(abs(e) for row in x.g_inv for e in row) >= 2**63
-        rows = _constraint_rows(array, x)
-        assert rows == _constraint_rows(lists, x)
-        assert all(isinstance(e, int) for row in rows for e in row)
-        assert rank_exact(rows) == rank_exact(_constraint_rows(lists, x))
+        rows = _flag_residues(array, [(x,)], (full,), None)[0].tolist()
+        assert rows == _flag_residues(lists, [(x,)], (full,), None)[0].tolist()
+        assert all(type(e) is int for row in rows for e in row)
+        assert max(abs(e) for row in rows for e in row) >= 2**63
+        assert rows == _point_rows(lists, (x,))
         assert borel_orbit_dim_at(array, x) == borel_orbit_dim_at(lists, x)
+        assert borel_orbit_dim_at(array, x) == rank_exact(rows)
 
     def test_borel_arrays_are_built_once_and_read_only(self):
         assert _gl_borel(5) is _gl_borel(5)
@@ -492,21 +486,20 @@ class TestChart:
                 linalg.transpose(linalg.invert_unit_lower(ut)),
                 linalg.invert_unit_lower(m),
             )
-            lmu = FlagPoint(
-                n, flag.dims, linalg.matmul(x.g, mu), linalg.matmul(mu_inv, x.g_inv)
-            )
-            assert linalg.matmul(lmu.g, lmu.g_inv) == linalg.identity(n)
-            assert borel_orbit_dim_at(k, lmu) == borel_orbit_dim_at(k, x), flag
+            g = linalg.matmul(x.g, mu)
+            g_inv = linalg.matmul(mu_inv, x.g_inv)
+            assert linalg.matmul(g, g_inv) == linalg.identity(n)
+            rows = _conjugation_rows(k.borel_basis, flag.dims, g, g_inv)
+            assert rank_exact(rows) == borel_orbit_dim_at(k, x), flag
 
 
 def _entry_point_calls(n, flag, samples):
-    """The four flag entry points, each asked about `flag` (and a good
+    """The three flag entry points, each asked about `flag` (and a good
     flag of C^n) with the gl_n Borel."""
     good = FlagType((1,), n)
     k = make_algebra("gl", n)
     return {
         "is_spherical_flag": lambda: is_spherical_flag(k, flag, samples),
-        "complexity_flag": lambda: complexity_flag(k, flag, samples),
         "product_flag_complexity": lambda: product_flag_complexity(
             n, good, flag, samples
         ),
@@ -533,8 +526,7 @@ class TestFlagValidation:
     )
     @pytest.mark.parametrize(
         "entry",
-        ["is_spherical_flag", "complexity_flag", "product_flag_complexity",
-         "levi_flag_complexity"],
+        ["is_spherical_flag", "product_flag_complexity", "levi_flag_complexity"],
     )
     def test_same_error_from_every_entry_point(self, entry, flag_n, samples, error):
         call = _entry_point_calls(4, FlagType((1,), flag_n), samples)[entry]
@@ -599,28 +591,33 @@ class TestStabilizerCertificate:
     @staticmethod
     def _record(monkeypatch):
         """Spy on the scan: per call, the exact-row callback, the samples
-        ranked, the index of the certified sample and whether its
-        certificate held.  An early stop asks stabilizes(None, v) at the
-        newest sample, so that is the index of a stop."""
+        ranked, the samples whose exact rows were formed, the index of the
+        certified sample and whether its certificate held.  A scan that
+        ends in ProbablyNo without forming exact rows stopped early, its
+        lifts acting trivially at the newest sample, so that is the index
+        of a stop."""
         calls, scan, certified = [], oracle._scan, oracle._stabilizer_certified
 
         def scan_spy(target, residues, exact_rows, *rest):
-            call = {"exact_rows": exact_rows, "ranked": []}
+            call = {"exact_rows": exact_rows, "ranked": [], "formed": []}
             calls.append(call)
 
             def ranked(i):
                 call["ranked"].append(i)
                 return residues(i)
 
-            return scan(target, ranked, exact_rows, *rest)
+            def formed(i):
+                call["formed"].append(i)
+                return exact_rows(i)
 
-        def certified_spy(lifts, stabilizes):
-            ok = certified(lifts, stabilizes)
-            index = stabilizes.args[0]
-            if index is not None:
-                calls[-1].update(index=index, certified=ok)
-            elif ok:
-                calls[-1].update(index=calls[-1]["ranked"][-1], certified=ok)
+            v = scan(target, ranked, formed, *rest)
+            if v.kind == "ProbablyNo" and not call["formed"]:
+                call.update(index=call["ranked"][-1], certified=True)
+            return v
+
+        def certified_spy(lifts, rows):
+            ok = certified(lifts, rows)
+            calls[-1].update(index=calls[-1]["formed"][-1], certified=ok)
             return ok
 
         monkeypatch.setattr(oracle, "_scan", scan_spy)
@@ -631,9 +628,12 @@ class TestStabilizerCertificate:
     def _check(calls, verdicts):
         proved = early = 0
         for call, v in zip(calls, verdicts, strict=True):
+            # a scan forms exact rows once at most, for its best sample
+            assert len(call["formed"]) <= 1
             if call.get("certified"):
                 assert v.kind == "ProbablyNo"
-                assert v.rank == rank_exact(call["exact_rows"](call["index"]))
+                rows = call["exact_rows"](call["index"]).tolist()
+                assert v.rank == rank_exact(rows)
                 proved += 1
                 early += len(call["ranked"]) < v.samples
         return proved, early
@@ -727,9 +727,9 @@ class TestStabilizerCertificate:
     def test_yes_at_the_first_sample_forms_its_residues_alone(self, monkeypatch):
         formed, residues = [], oracle._flag_residues
 
-        def spy(borel, points, flags):
+        def spy(borel, points, flags, *p):
             formed.append(len(points))
-            return residues(borel, points, flags)
+            return residues(borel, points, flags, *p)
 
         monkeypatch.setattr(oracle, "_flag_residues", spy)
         full = FlagType(tuple(range(1, 8)), 8)
@@ -768,26 +768,23 @@ class TestStabilizerCertificate:
             exact_calls.append(len(rows))
             return rank_exact(rows)
 
-        stabilizes = oracle._flag_stabilizes
-        rejected = []
+        # the identity, sum of the E_ii in the Borel's order, is the kernel
+        scalar = [int(i == j) for i in range(4) for j in range(i, 4)]
+        certified, checks = oracle._stabilizer_certified, []
 
-        def watched(mats, points):
-            check = stabilizes(mats, points)
-
-            def spy(i, v):
-                ok = check(i, v)
-                rejected.append((i, ok))
-                return ok
-
-            return spy
+        def checked(lifts, rows):
+            ok = certified(lifts, rows)
+            checks.append((ok, certified([scalar], rows)))
+            return ok
 
         monkeypatch.setattr(oracle, "lift_vector", forged)
         monkeypatch.setattr(oracle, "rank_exact", counted)
-        monkeypatch.setattr(oracle, "_flag_stabilizes", watched)
+        monkeypatch.setattr(oracle, "_stabilizer_certified", checked)
         v = verdict()
-        # the early-stop test at sample 0 asks at every point, then the
-        # certificate of the best sample, 0, at that point alone
-        assert rejected == [(None, False), (0, False)] and exact_calls
+        # the forged lift is not scalar, so no sample stops the scan; at
+        # its end the best sample's rows reject the forged lift and pass
+        # the honest one, and Bareiss ranks the same 12 rows
+        assert checks == [(False, True)] and exact_calls == [12]
         assert (v.kind, v.rank, v.target) == (honest.kind, honest.rank, honest.target)
 
     def test_module_with_empty_kernel_needs_no_bareiss(self, monkeypatch):
