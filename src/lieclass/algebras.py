@@ -1,18 +1,27 @@
 """Matrix models of the classical Lie algebras and their small modules.
 
-All bases are integer matrices.  so_n and sp_n are realized through
-ANTIDIAGONAL bilinear forms, so the intersection with upper-triangular
-matrices is a genuine Borel subalgebra and no triangular decomposition has
-to be computed.  Their bases are written down in closed form (_form_basis):
-each equation of the form pairs two matrix entries, so no linear system
-is solved.  Modules built from factors (naturals, duals, symmetric and
-exterior squares, two-factor tensor products, trivial summands) are
-assembled by pushing each factor's basis through the representation maps.
-make_algebra, representation and the flag oracle refuse (TooLarge) any
-size above MAX_MATRIX_SIZE before building a matrix.
+Every basis is one read-only int64 array of shape (m, n, n), m integer
+n x n matrices: CatalogAlgebra builds it once from what it is given, the
+builders here form their matrices as arrays, and every consumer reads
+them as they are.  The exact steps (independence and bracket checks, the
+annihilator of a span, the normalizer's nullspace) read the entries as
+Python ints through .tolist(), never as int64 scalars, whose products
+could wrap.  so_n and sp_n are realized through ANTIDIAGONAL bilinear
+forms, so the intersection with upper-triangular matrices is a genuine
+Borel subalgebra and no triangular decomposition has to be computed.
+Their bases are written down in closed form (_form_basis): each equation
+of the form pairs two matrix entries, so no linear system is solved.
+Modules built from factors (naturals, duals, symmetric and exterior
+squares, two-factor tensor products, trivial summands) are assembled by
+pushing each factor's basis, as one stack, through the representation
+maps into the diagonal blocks of the summands.  make_algebra,
+representation and the flag oracle refuse (TooLarge) any size above
+MAX_MATRIX_SIZE before building a matrix.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,28 +40,19 @@ def check_matrix_size(n):
 
 
 class CatalogAlgebra:
-    """A Lie algebra of n x n integer matrices with a chosen Borel."""
+    """A Lie algebra of n x n integer matrices with a chosen Borel.
 
-    __slots__ = ("basis", "borel_basis", "n", "meta", "_borel_array")
+    basis and borel_basis are read-only int64 arrays of shape (m, n, n),
+    built once by the constructor from nested lists, a list of arrays or
+    an array, and read as they are by every consumer."""
+
+    __slots__ = ("basis", "borel_basis", "n", "meta")
 
     def __init__(self, basis, borel_basis, n, meta):
-        self.basis = [tuple(tuple(row) for row in b) for b in basis]
-        self.borel_basis = [tuple(tuple(row) for row in b) for b in borel_basis]
+        self.basis = _frozen(basis, n)
+        self.borel_basis = _frozen(borel_basis, n)
         self.n = n
         self.meta = meta
-        self._borel_array = None
-
-    @property
-    def borel_array(self):
-        """The Borel basis as one read-only int64 (m, n, n) array, built
-        when first read and kept with the algebra."""
-        if self._borel_array is None:
-            a = np.array(self.borel_basis, dtype=np.int64).reshape(
-                len(self.borel_basis), self.n, self.n
-            )
-            a.flags.writeable = False
-            self._borel_array = a
-        return self._borel_array
 
     @property
     def dim(self):
@@ -65,11 +65,11 @@ class CatalogAlgebra:
     def check_closed(self):
         """Basis and Borel basis independent and closed under commutator,
         Borel inside the algebra (test hook)."""
-        both = [linalg.flatten(b) for b in self.basis + self.borel_basis]
+        both = np.concatenate([self.basis, self.borel_basis])
         return (
             _closed(self.basis)
             and _closed(self.borel_basis)
-            and rank_exact(both) == self.dim
+            and rank_exact(_exact_rows(both)) == self.dim
         )
 
     def __repr__(self):
@@ -80,24 +80,51 @@ class CatalogAlgebra:
         )
 
 
+def _frozen(mats, n):
+    """A copy of the matrices as one read-only int64 (m, n, n) array."""
+    a = np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+    a.flags.writeable = False
+    return a
+
+
+def _exact_rows(mats):
+    """The matrices of an (m, n, n) array as m flat rows of Python ints,
+    the input of the exact eliminations (int64 products there could wrap)."""
+    n = mats.shape[-1]
+    return mats.reshape(len(mats), n * n).tolist()
+
+
 def _closed(basis):
     """The basis is independent and its span holds every commutator of two
-    basis elements."""
-    vecs = [linalg.flatten(b) for b in basis]
+    basis elements, formed over Python ints."""
+    vecs = _exact_rows(basis)
     if rank_exact(vecs) != len(vecs):
         return False
+    x = basis.astype(object)
     brackets = [
-        linalg.flatten(linalg.commutator(a, b))
-        for i, a in enumerate(basis)
-        for b in basis[i + 1 :]
+        row
+        for i in range(len(x))
+        for row in _exact_rows(x[i] @ x[i + 1 :] - x[i + 1 :] @ x[i])
     ]
     return rank_exact(vecs + brackets) == len(vecs)
 
 
-def _unit(n, i, j):
-    m = [[0] * n for _ in range(n)]
-    m[i][j] = 1
-    return m
+def _units(n, i, j):
+    """The matrix units E_ij, one per index pair, as an int64 (m, n, n)
+    array."""
+    out = np.zeros((len(i), n, n), dtype=np.int64)
+    out[np.arange(len(i)), i, j] = 1
+    return out
+
+
+@lru_cache(maxsize=64)
+def gl_borel(n):
+    """The Borel of gl_n, the matrix units E_ij with i <= j row by row, as
+    one read-only int64 (m, n, n) array: make_algebra("gl", n) and the flag
+    oracle's product and Levi Borels read it."""
+    units = _units(n, *np.triu_indices(n))
+    units.flags.writeable = False
+    return units
 
 
 def _form_basis(n, signs):
@@ -111,44 +138,35 @@ def _form_basis(n, signs):
     entry that is its own partner (b = a') is free exactly when
     s_a s_a' = -1, which for sp it always is.  Elements with a <= b are
     upper triangular and span the Borel."""
-    basis, borel = [], []
-    for a in range(n):
-        for b in range(n):
-            ra, rb = n - 1 - a, n - 1 - b
-            partner = rb * n + ra
-            if partner < a * n + b:
-                m = _unit(n, a, b)
-                m[rb][ra] = -signs[ra] * signs[rb]
-            elif partner == a * n + b and signs[a] != signs[ra]:
-                m = _unit(n, a, b)
-            else:
-                continue
-            basis.append(m)
-            if a <= b:
-                borel.append(m)
-    return basis, borel
+    s = np.array(signs, dtype=np.int64)
+    a, b = np.divmod(np.arange(n * n), n)
+    ra, rb = n - 1 - a, n - 1 - b
+    flat, partner = a * n + b, rb * n + ra
+    paired = partner < flat
+    keep = paired | ((partner == flat) & (s[a] != s[ra]))
+    a, b, ra, rb, paired = a[keep], b[keep], ra[keep], rb[keep], paired[keep]
+    basis = _units(n, a, b)
+    e = np.flatnonzero(paired)
+    basis[e, rb[e], ra[e]] = -s[ra[e]] * s[rb[e]]
+    return basis, basis[a <= b]
 
 
 def make_algebra(tag, n):
     n = int(n)
     check_matrix_size(n)
+    if tag in ("gl", "sl") and n < 1:
+        raise BadParameter("%s needs n >= 1" % tag)
     if tag == "gl":
-        if n < 1:
-            raise BadParameter("gl needs n >= 1")
-        basis = [_unit(n, i, j) for i in range(n) for j in range(n)]
-        borel = [_unit(n, i, j) for i in range(n) for j in range(i, n)]
+        basis = _units(n, *np.divmod(np.arange(n * n), n))
+        borel = gl_borel(n)
         rank = n
     elif tag == "sl":
-        if n < 1:
-            raise BadParameter("sl needs n >= 1")
-        basis = [_unit(n, i, j) for i in range(n) for j in range(n) if i != j]
-        diag = []
-        for i in range(n - 1):
-            h = _unit(n, i, i)
-            h[i + 1][i + 1] = -1
-            diag.append(h)
-        basis += diag
-        borel = [_unit(n, i, j) for i in range(n) for j in range(i + 1, n)] + diag
+        i, j = np.divmod(np.arange(n * n), n)
+        d = np.arange(n - 1)
+        diag = _units(n, d, d)
+        diag[d, d + 1, d + 1] = -1
+        basis = np.concatenate([_units(n, i[i != j], j[i != j]), diag])
+        borel = np.concatenate([_units(n, *np.triu_indices(n, 1)), diag])
         rank = n - 1
     elif tag == "so":
         if n < 3:
@@ -167,26 +185,23 @@ def make_algebra(tag, n):
     )
 
 
-def _embed(m, size, offset):
-    out = [[0] * size for _ in range(size)]
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            out[offset + i][offset + j] = x
-    return out
-
-
 def direct_sum(a: CatalogAlgebra, b: CatalogAlgebra) -> CatalogAlgebra:
     n = a.n + b.n
-    basis = [_embed(m, n, 0) for m in a.basis] + [_embed(m, n, a.n) for m in b.basis]
-    borel = [_embed(m, n, 0) for m in a.borel_basis] + [
-        _embed(m, n, a.n) for m in b.borel_basis
-    ]
+
+    def blocks(x, y):
+        out = np.zeros((len(x) + len(y), n, n), dtype=np.int64)
+        out[: len(x), : a.n, : a.n] = x
+        out[len(x) :, a.n :, a.n :] = y
+        return out
+
     meta = {
         "type": "sum",
         "rank": a.meta["rank"] + b.meta["rank"],
         "factors": a.meta["factors"] + b.meta["factors"],
     }
-    return CatalogAlgebra(basis, borel, n, meta)
+    return CatalogAlgebra(
+        blocks(a.basis, b.basis), blocks(a.borel_basis, b.borel_basis), n, meta
+    )
 
 
 # --- module construction -------------------------------------------------
@@ -244,72 +259,25 @@ class ModuleSpec:
         return "ModuleSpec(%r)" % (self.summands,)
 
 
-def _dual_op(x):
-    n = len(x)
-    return [[-x[j][i] for j in range(n)] for i in range(n)]
+def _square_ops(x, symmetric):
+    """Operators induced on S^2 C^n (symmetric) or wedge^2 C^n by each
+    matrix of the stack x.  x acts on C^n (x) C^n as x (x) 1 + 1 (x) x; the
+    basis vector e_a e_b (a <= b) or e_a ^ e_b (a < b) is the image of
+    e_a (x) e_b, and e_c (x) e_d maps to e_c e_d = e_d e_c, or to
+    e_c ^ e_d = -e_d ^ e_c (zero for c = d)."""
+    n = x.shape[-1]
+    a, b = np.triu_indices(n, 0 if symmetric else 1)
+    one = np.eye(n, dtype=np.int64)
+    fold = np.zeros((len(a), n * n), dtype=np.int64)
+    fold[np.arange(len(a)), b * n + a] = 1 if symmetric else -1
+    fold[np.arange(len(a)), a * n + b] = 1
+    return fold @ (np.kron(x, one) + np.kron(one, x))[:, :, a * n + b]
 
 
-def _sym2_op(x):
-    n = len(x)
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    idx = {p: k for k, p in enumerate(pairs)}
-    d = len(pairs)
-    out = [[0] * d for _ in range(d)]
-
-    def add(a, b, col, coef):
-        if a > b:
-            a, b = b, a
-        out[idx[(a, b)]][col] += coef
-
-    for col, (a, b) in enumerate(pairs):
-        for c in range(n):
-            if x[c][a]:
-                add(c, b, col, x[c][a])
-            if x[c][b]:
-                add(a, c, col, x[c][b])
-    return out
-
-
-def _wedge2_op(x):
-    n = len(x)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    idx = {p: k for k, p in enumerate(pairs)}
-    d = len(pairs)
-    out = [[0] * d for _ in range(d)]
-
-    def add(a, b, col, coef):
-        if a == b:
-            return
-        if a > b:
-            a, b = b, a
-            coef = -coef
-        out[idx[(a, b)]][col] += coef
-
-    for col, (a, b) in enumerate(pairs):
-        for c in range(n):
-            if x[c][a]:
-                add(c, b, col, x[c][a])
-            if x[c][b]:
-                add(a, c, col, x[c][b])
-    return out
-
-
-def _kron(a, b):
-    na, nb = len(a), len(b)
-    out = [[0] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(na):
-            if a[i][j]:
-                for k in range(nb):
-                    for l in range(nb):
-                        if b[k][l]:
-                            out[i * nb + k][j * nb + l] = a[i][j] * b[k][l]
-    return out
-
-
-def _summand_op(x, factor_index, summand, factor_sizes):
-    """Operator induced on one summand by basis element x of the given
-    factor, or None if the factor does not act there."""
+def _summand_ops(x, factor_index, summand, factor_sizes):
+    """Operators induced on one summand by the stack x of basis elements of
+    the given factor (x on a natural, -x^T on a dual), or None if the
+    factor does not act there."""
     kind = summand[0]
     if kind == "trivial":
         return None
@@ -317,34 +285,18 @@ def _summand_op(x, factor_index, summand, factor_sizes):
         if summand[1] != factor_index:
             return None
         if kind == "natural":
-            return [list(r) for r in x]
+            return x
         if kind == "dual":
-            return _dual_op(x)
-        if kind == "sym2":
-            return _sym2_op(x)
-        return _wedge2_op(x)
+            return -x.transpose(0, 2, 1)
+        return _square_ops(x, kind == "sym2")
     (i, ci), (j, cj) = summand[1], summand[2]
-    ni, nj = factor_sizes[i], factor_sizes[j]
     if factor_index == i:
-        xi = _dual_op(x) if ci == "d" else [list(r) for r in x]
-        return _kron(xi, linalg.identity(nj))
+        xi = -x.transpose(0, 2, 1) if ci == "d" else x
+        return np.kron(xi, np.eye(factor_sizes[j], dtype=np.int64))
     if factor_index == j:
-        xj = _dual_op(x) if cj == "d" else [list(r) for r in x]
-        return _kron(linalg.identity(ni), xj)
+        xj = -x.transpose(0, 2, 1) if cj == "d" else x
+        return np.kron(np.eye(factor_sizes[i], dtype=np.int64), xj)
     return None
-
-
-def _assemble(ops_by_summand, dims):
-    total = sum(dims)
-    out = [[0] * total for _ in range(total)]
-    off = 0
-    for op, d in zip(ops_by_summand, dims):
-        if op is not None:
-            for i in range(d):
-                for j in range(d):
-                    out[off + i][off + j] = op[i][j]
-        off += d
-    return out
 
 
 def representation(factors, spec: ModuleSpec) -> CatalogAlgebra:
@@ -353,27 +305,31 @@ def representation(factors, spec: ModuleSpec) -> CatalogAlgebra:
         factors = [factors]
     sizes = [f.n for f in factors]
     dims = spec.summand_dims(sizes)
-    check_matrix_size(sum(dims))
+    total = sum(dims)
+    check_matrix_size(total)
     for s in spec.summands:
         for ref in _factor_refs(s):
             if ref >= len(factors):
                 raise BadParameter("summand %r references missing factor" % (s,))
+    offsets = np.cumsum([0] + dims)
 
     def induce(fi, x):
-        return _assemble(
-            [_summand_op(x, fi, s, sizes) for s in spec.summands], dims
-        )
+        # each summand's operators fill its diagonal block; elements acting
+        # as zero on the whole module are dropped
+        out = np.zeros((len(x), total, total), dtype=np.int64)
+        for s, lo, hi in zip(spec.summands, offsets, offsets[1:]):
+            op = _summand_ops(x, fi, s, sizes)
+            if op is not None:
+                out[:, lo:hi, lo:hi] = op
+        return out[out.any(axis=(1, 2))]
 
-    basis, borel = [], []
-    for fi, f in enumerate(factors):
-        for x in f.basis:
-            m = induce(fi, x)
-            if any(any(row) for row in m):
-                basis.append(m)
-        for x in f.borel_basis:
-            m = induce(fi, x)
-            if any(any(row) for row in m):
-                borel.append(m)
+    empty = np.zeros((0, total, total), dtype=np.int64)
+    basis = np.concatenate(
+        [empty] + [induce(i, f.basis) for i, f in enumerate(factors)]
+    )
+    borel = np.concatenate(
+        [empty] + [induce(i, f.borel_basis) for i, f in enumerate(factors)]
+    )
     meta = {
         "type": "rep",
         "rank": sum(f.meta["rank"] for f in factors),
@@ -381,7 +337,7 @@ def representation(factors, spec: ModuleSpec) -> CatalogAlgebra:
         "module": spec,
         "summand_dims": tuple(dims),
     }
-    return CatalogAlgebra(basis, borel, sum(dims), meta)
+    return CatalogAlgebra(basis, borel, total, meta)
 
 
 def _factor_refs(summand):
@@ -395,28 +351,14 @@ def _factor_refs(summand):
 def summand_scalars(spec: ModuleSpec, factor_sizes):
     """One identity-on-summand operator per summand (the maximal torus of
     scalars commuting with the factor action)."""
-    dims = spec.summand_dims(factor_sizes)
-    total = sum(dims)
-    out = []
-    off = 0
-    for d in dims:
-        m = [[0] * total for _ in range(total)]
-        for i in range(d):
-            m[off + i][off + i] = 1
-        out.append(m)
-        off += d
-    return out
+    units = np.eye(len(spec.summands), dtype=np.int64)
+    return [scalar_on_summands(spec, factor_sizes, w) for w in units]
 
 
 def scalar_on_summands(spec: ModuleSpec, factor_sizes, weights):
-    """Sum of weight_s * Id restricted to summand s."""
-    scalars = summand_scalars(spec, factor_sizes)
-    total = len(scalars[0])
-    m = [[0] * total for _ in range(total)]
-    for w, s in zip(weights, scalars):
-        for i in range(total):
-            m[i][i] += w * s[i][i]
-    return m
+    """Sum of weight_s * Id restricted to summand s, an int64 matrix."""
+    dims = spec.summand_dims(factor_sizes)
+    return np.diag(np.repeat(np.asarray(weights, dtype=np.int64), dims))
 
 
 # --- normalizer ----------------------------------------------------------
@@ -444,16 +386,23 @@ def _normalizer_system(mats, n):
     while len(mats) * len(ann) * max|block entry|^2 < 2^53, because every
     product and every partial sum is then an integer below 2^53; TooLarge
     is raised beyond that bound, and when an int64 block entry could reach
-    2 n max|f| max|s| >= 2^63."""
-    ann = linalg.nullspace([linalg.flatten(m) for m in mats], n * n)
-    if not mats or not ann:
+    2 n max|f| max|s| >= 2^63.
+
+    mats is a sequence of n x n integer matrices, lists or arrays;
+    MismatchedSize is raised for one of another size, and BadParameter
+    when n is None."""
+    if n is None:
+        raise BadParameter("the normalizer of no operators needs the size n")
+    if any(np.shape(m) != (n, n) for m in mats):
+        raise MismatchedSize("operator of another size than %d x %d" % (n, n))
+    mats = _int64(mats).reshape(len(mats), n, n)
+    ann = linalg.nullspace(_exact_rows(mats), n * n)
+    if not len(mats) or not ann:
         return ann, []
-    fmax = max(abs(x) for f in ann for x in f)
-    smax = max(abs(x) for s in mats for row in s for x in row)
-    if 2 * n * fmax * smax >= 2**63:
+    fs = _int64(ann).reshape(len(ann), n, n)
+    if 2 * n * _magnitude(fs) * _magnitude(mats) >= 2**63:
         raise TooLarge("normalizer system entries overflow int64")
     terms = len(mats) * len(ann)
-    fs = np.array(ann, dtype=np.int64).reshape(len(ann), n, n)
     gram = np.zeros((n * n, n * n))
     top = 0
     for s in mats:
@@ -462,7 +411,7 @@ def _normalizer_system(mats, n):
         # from row k
         block = np.zeros_like(fs)
         for j, k in zip(*np.nonzero(s)):
-            v = s[j][k]
+            v = s[j, k]
             block[:, :, j] += v * fs[:, :, k]
             block[:, k, :] -= v * fs[:, j, :]
         block = block.reshape(len(ann), n * n)
@@ -476,6 +425,18 @@ def _normalizer_system(mats, n):
     return ann, gram.astype(np.int64).tolist()
 
 
+def _int64(rows):
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise TooLarge("normalizer system entries overflow int64") from None
+
+
+def _magnitude(a):
+    """max |entry| of an int64 array, as a Python int (np.abs wraps -2^63)."""
+    return max(int(a.max()), -int(a.min()))
+
+
 def normalizer_in_gl(k: CatalogAlgebra, extra_center=()) -> CatalogAlgebra:
     """Normalizer of span(k.basis + extra_center) in gl_n; its basis is the
     primitive integer nullspace basis of the normalizer system, read off the
@@ -483,14 +444,10 @@ def normalizer_in_gl(k: CatalogAlgebra, extra_center=()) -> CatalogAlgebra:
     is the one the rows themselves give).  Raises TooLarge past the Gram
     matrix's exactness bound (see _normalizer_system)."""
     n = k.n
-    for m in extra_center:
-        if len(m) != n:
-            raise MismatchedSize("extra center operator of wrong size")
     _, gram = _normalizer_system(list(k.basis) + list(extra_center), n)
     sol = linalg.nullspace(gram, n * n)
-    basis = [[v[i * n : (i + 1) * n] for i in range(n)] for v in sol]
     meta = {"type": "normalizer", "rank": None, "factors": k.meta.get("factors")}
-    return CatalogAlgebra(basis, [], n, meta)
+    return CatalogAlgebra(sol, [], n, meta)
 
 
 class NormalizerDim(int):
@@ -517,10 +474,10 @@ def normalizer_dim(k_basis, extra_center=(), n=None):
     (TooLarge beyond; see _normalizer_system); the capped-rank fast path
     certifies the rank with the modular kernel alone, and exact Bareiss
     runs, on the Gram matrix, only when the normalizer is strictly larger
-    than the span.
+    than the span.  n, when not given, is the size of the first operator.
     """
     mats = list(k_basis) + list(extra_center)
-    if mats:
+    if n is None and mats:
         n = len(mats[0])
     ann, gram = _normalizer_system(mats, n)
     return NormalizerDim(n * n - rank_capped(gram, len(ann)), n * n - len(ann))

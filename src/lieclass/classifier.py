@@ -283,13 +283,14 @@ def product_flags_spherical(steps1, steps2) -> bool:
 
 
 def _adjoin_scalar(alg: CatalogAlgebra) -> CatalogAlgebra:
-    from . import linalg
+    import numpy as np
+
     from .algebras import CatalogAlgebra
 
-    ident = linalg.identity(alg.n)
+    ident = np.eye(alg.n, dtype=np.int64)[None]
     return CatalogAlgebra(
-        list(alg.basis) + [ident],
-        list(alg.borel_basis) + [ident],
+        np.concatenate([alg.basis, ident]),
+        np.concatenate([alg.borel_basis, ident]),
         alg.n,
         dict(alg.meta, type=alg.meta["type"] + "+c"),
     )

@@ -1,6 +1,8 @@
 """Small exact linear algebra over the integers.
 
-Matrices are lists of lists (or tuples of tuples) of ints.  The one exact
+Matrices are lists of lists (or tuples of tuples) of Python ints; an
+int64 array is passed as .tolist(), since int64 products in the
+eliminations below would wrap where Python ints grow.  The one exact
 elimination for bases is Echelon, an incremental fraction-free
 Gauss-Jordan on primitive integer rows: rref absorbs every row and
 nullspace reads its vectors off rref, snmod's group-ring span absorbs
@@ -43,16 +45,6 @@ def matmul(a, b):
                 for j in range(c):
                     oi[j] += x * bt[j]
     return out
-
-
-def commutator(a, b):
-    ab = matmul(a, b)
-    ba = matmul(b, a)
-    return [[ab[i][j] - ba[i][j] for j in range(len(a))] for i in range(len(a))]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def flatten(a):

@@ -46,24 +46,26 @@ The flag entry points draw a sample's points, one per flag, when the scan
 first asks about that sample.  The scan visits the samples in order and
 the generator is sequential, so every sample gets the points an up-front
 draw would give it, and a call that stops at sample i draws i + 1 samples.
-The Borel basis enters as one read-only int64 (m, n, n) array, built once
-per algebra (CatalogAlgebra.borel_array) or per gl_n (_gl_borel).  One
-routine, _flag_residues, conjugates it by a sample's points, and only when
-the scan asks: g^-1 y g = L^-1 (y L) for the whole Borel basis is one
-(m, n, dmax) array per flag, L^-1 is applied by forward substitution, and
-the rows are gathered at the chart coordinates, the entries of g^-1 y g
-that must vanish, so each flag gives dim G/P rows.  Mod MOD_PRIME every
-product is a box-sized entry of L times a residue (no int64 overflow);
-the same steps over Python ints give the exact rows.  A Yes or an early
-stop at the first sample pays for that sample's residues alone.  Exact
-integers appear in two places only: the point g, g^-1 of a Yes
-certificate, formed from L when read, and the exact rows of the best
-sample of a scan that does not stop early, which the lifts are checked
-against and Bareiss ranks when that check fails.  The module oracle
-draws all its points at once and forms its rows as one int64 product,
-exact since every partial sum stays below 2^63, then reduces them mod p.
-A call whose int64 residues, summed over its samples, would pass
-MAX_CELLS is refused with TooLarge before anything is drawn.
+The Borel basis enters as one read-only int64 (m, n, n) array: an
+algebra's own borel_basis, algebras.gl_borel(n), built once per n, or a
+row selection of it for a Levi; a bare Borel basis is read with
+np.asarray.  One routine, _flag_residues, conjugates it by a sample's
+points, and only when the scan asks: g^-1 y g = L^-1 (y L) for the whole
+Borel basis is one (m, n, dmax) array per flag, L^-1 is applied by
+forward substitution, and the rows are gathered at the chart
+coordinates, the entries of g^-1 y g that must vanish, so each flag gives
+dim G/P rows.  Mod MOD_PRIME every product is a box-sized entry of L
+times a residue (no int64 overflow); the same steps over Python ints give
+the exact rows.  A Yes or an early stop at the first sample pays for that
+sample's residues alone.  Exact integers appear in two places only: the
+point g, g^-1 of a Yes certificate, formed from L when read, and the
+exact rows of the best sample of a scan that does not stop early, which
+the lifts are checked against and Bareiss ranks, read as Python ints
+(.tolist()), when that check fails.  The module oracle draws all its
+points at once and forms its rows as one int64 product, exact since every
+partial sum stays below 2^63, then reduces them mod p.  A call whose
+int64 residues, summed over its samples, would pass MAX_CELLS is refused
+with TooLarge before anything is drawn.
 """
 
 from __future__ import annotations
@@ -73,7 +75,13 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import linalg
-from .algebras import CatalogAlgebra, ModuleSpec, check_matrix_size, representation
+from .algebras import (
+    CatalogAlgebra,
+    ModuleSpec,
+    check_matrix_size,
+    gl_borel,
+    representation,
+)
 from .errors import (
     BadSampleCount,
     DimensionMismatch,
@@ -95,6 +103,13 @@ MAX_CELLS = 2**23
 def _check_cells(cells):
     if cells > MAX_CELLS:
         raise TooLarge("%d int64 cells exceed the bound %d" % (cells, MAX_CELLS))
+
+
+def _check_samples(samples):
+    if samples < 1:
+        raise BadSampleCount("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise TooLarge("samples must be <= %d" % MAX_SAMPLES)
 
 
 class FlagPoint:
@@ -174,16 +189,6 @@ def sample_flag_point(flag: FlagType, rng, box=COEFF_BOX) -> FlagPoint:
     return FlagPoint(flag, lower)
 
 
-def _borel_of(b):
-    """The Borel basis as an int64 (m, n, n) array: an algebra's own
-    read-only array, or an array built from a list of matrices."""
-    if isinstance(b, CatalogAlgebra):
-        return b.borel_array
-    if isinstance(b, np.ndarray):
-        return b
-    return np.array(list(b), dtype=np.int64)
-
-
 @lru_cache(maxsize=4096)
 def _chart_index(n, dims):
     """Flat indices of the chart entries of an n x n matrix, row by row:
@@ -236,8 +241,11 @@ def _flag_residues(borel, points, flags, p=MOD_PRIME):
 
 
 def borel_orbit_dim_at(b, x: FlagPoint):
-    """Exact dimension of the orbit of the Borel b through the flag x."""
-    borel = _borel_of(b)
+    """Exact dimension of the orbit of the Borel b (an algebra or a bare
+    Borel basis) through the flag x."""
+    if isinstance(b, CatalogAlgebra):
+        b = b.borel_basis
+    borel = np.asarray(b, dtype=np.int64)
     if len(borel) and borel.shape[-1] != x.ambient:
         raise DimensionMismatch(
             "Borel acts on C^%d, point lives in C^%d"
@@ -328,14 +336,14 @@ def _flag_verdict(n, k, flags, samples, seed, box):
 
     k is an algebra, a Borel basis, or a function building one; it is
     called only once the sample count and the flag ambients are checked."""
-    if samples < 1:
-        raise BadSampleCount("samples must be >= 1")
-    if samples > MAX_SAMPLES:
-        raise TooLarge("samples must be <= %d" % MAX_SAMPLES)
+    _check_samples(samples)
     if any(f.ambient != n for f in flags):
         raise DimensionMismatch("flag ambients must equal %d" % n)
     check_matrix_size(n)
-    mats = _borel_of(k() if callable(k) else k)
+    k = k() if callable(k) else k
+    if isinstance(k, CatalogAlgebra):
+        k = k.borel_basis
+    mats = np.asarray(k, dtype=np.int64)
     if len(mats) and mats.shape[-1] != n:
         raise DimensionMismatch(
             "Borel acts on C^%d, flags live in C^%d" % (mats.shape[-1], n)
@@ -399,10 +407,7 @@ def is_spherical_module(
 
     k is either a list of factors with a ModuleSpec, or an already-built
     representation algebra (spec omitted)."""
-    if samples < 1:
-        raise BadSampleCount("samples must be >= 1")
-    if samples > MAX_SAMPLES:
-        raise TooLarge("samples must be <= %d" % MAX_SAMPLES)
+    _check_samples(samples)
     if isinstance(k, CatalogAlgebra) and spec is None:
         rep = k
     else:
@@ -413,7 +418,7 @@ def is_spherical_module(
                     "no matrix model for factor type %r" % (f.meta["type"],)
                 )
         rep = representation(factors, spec)
-    n, borel = rep.n, _borel_of(rep)
+    n, borel = rep.n, rep.borel_basis
     if with_scalar:
         borel = np.concatenate([borel, np.eye(n, dtype=np.int64)[None]])
     _check_cells(samples * len(borel) * n)
@@ -445,40 +450,21 @@ def is_spherical_module(
     )
 
 
-@lru_cache(maxsize=64)
-def _gl_borel(n):
-    """The Borel of gl_n, the matrix units E_ij with i <= j row by row, as
-    one read-only int64 (m, n, n) array."""
-    units = [(i, j) for i in range(n) for j in range(i, n)]
-    mats = np.zeros((len(units), n, n), dtype=np.int64)
-    for b, (i, j) in enumerate(units):
-        mats[b, i, j] = 1
-    mats.flags.writeable = False
-    return mats
-
-
 def levi_borel(n, flag: FlagType):
-    """Borel of the block-diagonal Levi cut out by the steps of a flag:
-    upper-triangular inside each diagonal block."""
+    """Borel of the block-diagonal Levi cut out by the steps of a flag: the
+    units E_ij of gl_borel(n) with i and j in one block, in its order."""
     if flag.ambient != n:
         raise DimensionMismatch("flag ambient does not match n")
-    exts = (0,) + flag.dims + (n,)
-    out = []
-    for b in range(len(exts) - 1):
-        lo, hi = exts[b], exts[b + 1]
-        for i in range(lo, hi):
-            for j in range(i, hi):
-                m = [[0] * n for _ in range(n)]
-                m[i][j] = 1
-                out.append(m)
-    return out
+    block = np.searchsorted(flag.dims, np.arange(n), side="right")
+    i, j = np.triu_indices(n)
+    return gl_borel(n)[block[i] == block[j]]
 
 
 def product_flag_complexity(
     g_n, f1: FlagType, f2: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX
 ):
     """Complexity of the gl_n Borel acting diagonally on pairs of flags."""
-    borel = partial(_gl_borel, g_n)
+    borel = partial(gl_borel, g_n)
     return _flag_verdict(g_n, borel, (f1, f2), samples, seed, box).complexity
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from . import linalg
+import numpy as np
+
 from .algebras import (
     CatalogAlgebra,
     ModuleSpec,
@@ -486,9 +487,8 @@ def is_spherical_module_by_table(
                 ]
                 extra.append(scalar_on_summands(spec, sizes, weights))
         if with_scalar:
-            extra.append(linalg.identity(rep.n))
-    span = [list(map(list, m)) for m in rep.basis] + extra
-    dim = normalizer_dim(span, (), rep.n)
+            extra.append(np.eye(rep.n, dtype=np.int64))
+    dim = normalizer_dim(rep.basis, extra, rep.n)
     ok = dim == dim.span_dim
     return TableVerdict(
         ok,

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lieclass import linalg
@@ -88,7 +89,7 @@ class TestMakeAlgebra:
         assert normalizer_dim(basis, [ident]) == normalizer_dim(basis, [ident, ident])
         norm = normalizer_in_gl(rep)
         assert norm.dim == dim
-        assert normalizer_in_gl(rep, [doubled, ident]).basis == norm.basis
+        assert np.array_equal(normalizer_in_gl(rep, [doubled, ident]).basis, norm.basis)
 
 
 def _form_algebra(n, form, upper_only=False):
@@ -110,10 +111,7 @@ def _form_algebra(n, form, upper_only=False):
                 row = [0] * (n * n)
                 row[a * n + b] = 1
                 rows.append(row)
-    return [
-        tuple(tuple(v[i * n : (i + 1) * n]) for i in range(n))
-        for v in linalg.nullspace(rows)
-    ]
+    return [[v[i * n : (i + 1) * n] for i in range(n)] for v in linalg.nullspace(rows)]
 
 
 def _antidiagonal(n, signs):
@@ -135,8 +133,8 @@ class TestClosedFormBases:
         signs = [1] * n if tag == "so" else [1] * (n // 2) + [-1] * (n // 2)
         form = _antidiagonal(n, signs)
         k = make_algebra(tag, n)
-        assert k.basis == _form_algebra(n, form)
-        assert k.borel_basis == _form_algebra(n, form, upper_only=True)
+        assert k.basis.tolist() == _form_algebra(n, form)
+        assert k.borel_basis.tolist() == _form_algebra(n, form, upper_only=True)
 
 
 class TestRepresentation:
@@ -162,6 +160,55 @@ class TestRepresentation:
         ops = summand_scalars(spec, [3])
         assert len(ops) == 2
         assert rank_exact([linalg.flatten(m) for m in ops]) == 2
+
+
+def _with_brackets(k):
+    """k with its basis followed by its nonzero brackets [x_i, x_j], i < j,
+    and the triples (i, j, index of the bracket) they come from."""
+    x = k.basis
+    triples, brackets = [], []
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            c = x[i] @ x[j] - x[j] @ x[i]
+            if c.any():
+                triples.append((i, j, len(x) + len(brackets)))
+                brackets.append(c)
+    return CatalogAlgebra([*x, *brackets], [], k.n, dict(k.meta)), triples
+
+
+ONE_FACTOR = [("sl", 3), ("so", 4), ("sp", 4), ("gl", 3)]
+HOMOMORPHISM_CASES = (
+    [
+        ([f], [(kind, 0)])
+        for kind in ("natural", "dual", "sym2", "wedge2")
+        for f in ONE_FACTOR
+    ]
+    # the natural summand keeps every image nonzero, so none is dropped
+    + [([f], [("trivial",), ("natural", 0)]) for f in ONE_FACTOR]
+    + [
+        (pair, [("tensor", (0, a), (1, b))])
+        for pair in ([("sl", 2), ("sp", 4)], [("gl", 2), ("so", 3)])
+        for a in "nd"
+        for b in "nd"
+    ]
+)
+
+
+@pytest.mark.parametrize("factors, summands", HOMOMORPHISM_CASES)
+def test_representation_is_a_lie_homomorphism(factors, summands):
+    """rho([x, y]) = [rho x, rho y] for basis pairs of each factor, and the
+    images of two factors commute."""
+    probes = [_with_brackets(make_algebra(*f)) for f in factors]
+    rho = representation([k for k, _ in probes], ModuleSpec(summands)).basis
+    starts = np.cumsum([0] + [k.dim for k, _ in probes])
+    assert len(rho) == starts[-1]
+    for (_, triples), s in zip(probes, starts):
+        for i, j, c in triples:
+            x, y = rho[s + i], rho[s + j]
+            assert np.array_equal(x @ y - y @ x, rho[s + c])
+    if len(probes) == 2:
+        x, y = rho[: starts[1], None], rho[None, starts[1] :]
+        assert not (x @ y - y @ x).any()
 
 
 class TestSizeBound:

@@ -9,6 +9,7 @@ echelon form must not tell the two apart.
 
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,9 +24,18 @@ from lieclass.algebras import (
     representation,
     summand_scalars,
 )
-from lieclass.errors import CapExceeded, TooLarge
+from lieclass.errors import BadParameter, CapExceeded, MismatchedSize, TooLarge
 from lieclass.rank import rank_exact
 from lieclass.sphericaltable import is_spherical_module_by_table
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def commutator(a, b):
+    ab, ba = linalg.matmul(a, b), linalg.matmul(b, a)
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
 
 
 def reference_rows(mats, n):
@@ -35,7 +45,7 @@ def reference_rows(mats, n):
     ann = linalg.nullspace([linalg.flatten(m) for m in mats], n * n)
     rows = []
     for s in mats:
-        st_ = linalg.transpose(s)
+        st_ = transpose(s)
         for f in ann:
             fm = [f[i * n : (i + 1) * n] for i in range(n)]
             c = linalg.matmul(fm, st_)
@@ -92,8 +102,8 @@ def module_pool(factors, summands):
     spec = ModuleSpec(summands)
     algs = [make_algebra(tag, n) for tag, n in factors]
     rep = representation(algs, spec)
-    pool = [list(map(list, m)) for m in rep.basis]
-    pool += summand_scalars(spec, [a.n for a in algs])
+    pool = rep.basis.tolist()
+    pool += [m.tolist() for m in summand_scalars(spec, [a.n for a in algs])]
     pool.append(linalg.identity(rep.n))
     return rep.n, pool
 
@@ -111,7 +121,7 @@ def bracket_closure(mats):
     i = 0
     while i < len(basis):
         for b in basis[: i + 1]:
-            c = linalg.commutator(basis[i], b)
+            c = commutator(basis[i], b)
             if ech.absorb(linalg.flatten(c)):
                 basis.append(c)
                 out.append(c)
@@ -173,7 +183,8 @@ class TestGramAgainstRows:
         seen = []
 
         def record(k_basis, extra_center=(), n=None):
-            seen.append((list(k_basis), n))
+            mats = [*k_basis, *extra_center]
+            seen.append(([np.asarray(m).tolist() for m in mats], n))
             return normalizer_dim(k_basis, extra_center, n)
 
         monkeypatch.setattr(table, "normalizer_dim", record)
@@ -189,7 +200,7 @@ class TestGramAgainstRows:
         rep = representation(
             [make_algebra("so", 5)], ModuleSpec([("natural", 0), ("natural", 0)])
         )
-        mats = [list(map(list, m)) for m in rep.basis] + [linalg.identity(rep.n)]
+        mats = rep.basis.tolist() + [linalg.identity(rep.n)]
         assert normalizer_dim(mats) == 14
         assert_matches_reference(mats, rep.n)
 
@@ -201,7 +212,7 @@ class TestGramAgainstRows:
         assert_matches_reference([], 3)
 
     def test_whole_of_gl(self):
-        mats = [list(map(list, m)) for m in make_algebra("gl", 3).basis]
+        mats = make_algebra("gl", 3).basis.tolist()
         ann, gram = _normalizer_system(mats, 3)
         assert ann == [] and gram == []
         assert_matches_reference(mats, 3)
@@ -256,9 +267,9 @@ class TestExactnessBound:
             normalizer_in_gl(CatalogAlgebra(big, [], n, {}))
 
     def test_int64_overflow_raises(self):
-        mats = [[[0, 2**61], [0, 0]]]
-        with pytest.raises(TooLarge):
-            _normalizer_system(mats, 2)
+        for entry in (2**61, 2**64):
+            with pytest.raises(TooLarge):
+                _normalizer_system([[[0, entry], [0, 0]]], 2)
 
 
 def test_span_not_closed_under_the_bracket_raises():
@@ -268,3 +279,15 @@ def test_span_not_closed_under_the_bracket_raises():
     e12, e21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
     with pytest.raises(CapExceeded):
         normalizer_dim([e12, linalg.identity(2), e21], (), 2)
+
+
+def test_no_operators_and_no_size_is_a_bad_parameter():
+    with pytest.raises(BadParameter):
+        normalizer_dim([], (), None)
+
+
+def test_an_operator_of_another_size_is_a_size_mismatch():
+    with pytest.raises(MismatchedSize):
+        normalizer_dim([linalg.identity(2)], [linalg.identity(3)])
+    with pytest.raises(MismatchedSize):
+        normalizer_in_gl(make_algebra("sl", 2), [linalg.identity(3)])

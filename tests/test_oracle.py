@@ -8,10 +8,13 @@ from lieclass import linalg, oracle
 from lieclass.algebras import (
     MAX_MATRIX_SIZE,
     ModuleSpec,
+    direct_sum,
+    gl_borel,
     make_algebra,
+    normalizer_in_gl,
     representation,
 )
-from lieclass.classifier import datum_algebra
+from lieclass.classifier import ClassificationDatum, datum_algebra
 from lieclass.cli import parse_algebra_module
 from lieclass.errors import BadSampleCount, DimensionMismatch, TooLarge
 from lieclass.oracle import (
@@ -19,7 +22,6 @@ from lieclass.oracle import (
     FlagPoint,
     OracleVerdict,
     _flag_residues,
-    _gl_borel,
     borel_orbit_dim_at,
     is_spherical_flag,
     is_spherical_module,
@@ -158,7 +160,7 @@ class TestModuleOracle:
 def _module_rows_reference(rep, with_scalar, samples, seed, box):
     """Points drawn entry by entry and rows y.w summed in Python ints: the
     definition the batched int64 rows of the module oracle must match."""
-    borel = [[list(r) for r in y] for y in rep.borel_basis]
+    borel = rep.borel_basis.tolist()
     if with_scalar:
         borel.append(linalg.identity(rep.n))
     rng = np.random.default_rng(seed)
@@ -374,7 +376,7 @@ class TestResidues:
         flags = _flags_of(n)
         for i, f1 in enumerate(flags):
             f2 = flags[-1 - i]
-            self._check(_gl_borel(n), (f1, f2), seed=n + i)
+            self._check(gl_borel(n), (f1, f2), seed=n + i)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_levi_rows(self, n):
@@ -413,17 +415,15 @@ class TestResidues:
                 assert len(set(entries)) == len(entries) == flag.dim(), dims
                 points = [(sample_flag_point(flag, rng),
                            sample_flag_point(full, rng))]
-                got = _flag_residues(_gl_borel(n), points, (flag, full))
+                got = _flag_residues(gl_borel(n), points, (flag, full))
                 assert got.shape[1] == flag.dim() + full.dim(), dims
 
     def test_array_borel_gives_exact_rows(self):
         # entries of L^-1 for the full flag of C^7 pass 2^63 at the full
         # box, so the exact rows must be formed over Python ints
-        lists = make_algebra("gl", 7).borel_basis
-        array = _gl_borel(7)
-        assert array.dtype == np.int64 and array.tolist() == [
-            [list(r) for r in y] for y in lists
-        ]
+        lists = make_algebra("gl", 7).borel_basis.tolist()
+        array = gl_borel(7)
+        assert array.dtype == np.int64 and array.tolist() == lists
         full = FlagType(tuple(range(1, 7)), 7)
         x = sample_flag_point(full, np.random.default_rng(7), COEFF_BOX)
         rows = _flag_residues(array, [(x,)], (full,), None)[0].tolist()
@@ -435,18 +435,33 @@ class TestResidues:
         assert borel_orbit_dim_at(array, x) == rank_exact(rows)
 
     def test_borel_arrays_are_built_once_and_read_only(self):
-        assert _gl_borel(5) is _gl_borel(5)
-        k = make_algebra("so", 5)
-        assert k.borel_array is k.borel_array
-        assert k.borel_array.tolist() == [[list(r) for r in y] for y in k.borel_basis]
-        for mats in (_gl_borel(5), k.borel_array):
-            with pytest.raises(ValueError):
-                mats[0, 0, 0] = 7
+        assert gl_borel(5) is gl_borel(5)
+        assert np.array_equal(make_algebra("gl", 5).borel_basis, gl_borel(5))
+        spec = ModuleSpec([("tensor", (0, "n"), (1, "d")), ("sym2", 1)])
+        factors = [make_algebra("sl", 2), make_algebra("sp", 4)]
+        builders = [make_algebra(tag, 4) for tag in ("gl", "sl", "so", "sp")]
+        builders += [
+            direct_sum(*factors),
+            representation(factors, spec),
+            datum_algebra(ClassificationDatum((1,), [("so", 3), ("sl", 2)], 1)),
+            normalizer_in_gl(make_algebra("so", 4)),
+        ]
+        for k in builders:
+            for mats in (k.basis, k.borel_basis):
+                assert mats.dtype == np.int64 and mats.shape == (len(mats), k.n, k.n)
+                with pytest.raises(ValueError):
+                    mats[..., 0, 0] = 7
+        with pytest.raises(ValueError):
+            gl_borel(5)[0, 0, 0] = 7
 
     def test_box_too_large_for_int64_is_refused(self):
         k = make_algebra("sl", 3)
         with pytest.raises(TooLarge):
             is_spherical_flag(k, FlagType((1,), 3), box=2**32)
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def _unit_lower_in(n, cells, rng, box):
@@ -481,9 +496,9 @@ class TestChart:
             ut = _unit_lower_in(
                 n, [(i, j) for i in range(n) for j in range(i)], rng, 50
             )
-            mu = linalg.matmul(m, linalg.transpose(ut))
+            mu = linalg.matmul(m, _transpose(ut))
             mu_inv = linalg.matmul(
-                linalg.transpose(linalg.invert_unit_lower(ut)),
+                _transpose(linalg.invert_unit_lower(ut)),
                 linalg.invert_unit_lower(m),
             )
             g = linalg.matmul(x.g, mu)
@@ -646,7 +661,7 @@ class TestStabilizerCertificate:
             ms = step_multisets(n)
             for a, b in itertools.combinations_with_replacement(ms, 2):
                 f1, f2 = canonical_flag(a, n), canonical_flag(b, n)
-                yield n, partial(_gl_borel, n), (f1, f2)
+                yield n, partial(gl_borel, n), (f1, f2)
                 for x, y in ((f1, f2), (f2, f1)):
                     yield n, partial(levi_borel, n, y), (x,)
 
@@ -708,7 +723,8 @@ class TestStabilizerCertificate:
                 tuple(sample_flag_point(f, rng, box) for f in flags)
                 for _ in range(5)
             ]
-            borel = oracle._borel_of(k() if callable(k) else k)
+            borel = k() if callable(k) else k
+            borel = getattr(borel, "borel_basis", borel)
             ranks = [rank_modp(r) for r in _flag_residues(borel, points, flags)]
             assert ranked == list(range(len(ranked)))
             before = max((ranks[i] for i in ranked[:-1]), default=-1)
@@ -753,7 +769,7 @@ class TestStabilizerCertificate:
         full = FlagType((1, 2, 3), 4)
 
         def verdict():
-            gl = partial(_gl_borel, 4)
+            gl = partial(gl_borel, 4)
             return oracle._flag_verdict(4, gl, (full, full), 5, 2, COEFF_BOX)
 
         honest = verdict()
