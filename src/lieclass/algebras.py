@@ -4,9 +4,11 @@ Every basis is one read-only int64 array of shape (m, n, n), m integer
 n x n matrices: CatalogAlgebra builds it once from what it is given, the
 builders here form their matrices as arrays, and every consumer reads
 them as they are.  The exact steps (independence and bracket checks, the
-annihilator of a span, the normalizer's nullspace) read the entries as
-Python ints through .tolist(), never as int64 scalars, whose products
-could wrap.  so_n and sp_n are realized through ANTIDIAGONAL bilinear
+annihilator of a span, the normalizer's rank) read the entries as Python
+ints through .tolist(), never as int64 scalars, whose products could wrap;
+the normalizer's rows are formed in int64 only below a proven bound.
+normalizer_dim solves only for the entries of x that commute with the
+diagonal generators of the span.  so_n and sp_n are realized through ANTIDIAGONAL bilinear
 forms, so the intersection with upper-triangular matrices is a genuine
 Borel subalgebra and no triangular decomposition has to be computed.
 Their bases are written down in closed form (_form_basis): each equation
@@ -26,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import BadParameter, MismatchedSize, TooLarge
+from .errors import BadParameter, CapExceeded, MismatchedSize, TooLarge
 from .rank import rank_capped, rank_exact
 
 # at the bound, `lieclass oracle --k 'sl(32)'` with the full flag takes
@@ -206,9 +208,6 @@ def direct_sum(a: CatalogAlgebra, b: CatalogAlgebra) -> CatalogAlgebra:
 
 # --- module construction -------------------------------------------------
 
-_SYMBOL_SUMMANDS = ("trivial",)
-
-
 def _norm_summand(s):
     """Accepts ('natural', i) | ('dual', i) | ('sym2', i) | ('wedge2', i)
     | ('trivial',) | ('tensor', i, j) | ('tensor', (i, 'n'|'d'), (j, 'n'|'d'))."""
@@ -290,13 +289,17 @@ def _summand_ops(x, factor_index, summand, factor_sizes):
             return -x.transpose(0, 2, 1)
         return _square_ops(x, kind == "sym2")
     (i, ci), (j, cj) = summand[1], summand[2]
+    if factor_index not in (i, j):
+        return None
+    # x (x) 1 + 1 (x) x on a tensor of the factor with itself
+    ops = 0
     if factor_index == i:
         xi = -x.transpose(0, 2, 1) if ci == "d" else x
-        return np.kron(xi, np.eye(factor_sizes[j], dtype=np.int64))
+        ops = np.kron(xi, np.eye(factor_sizes[j], dtype=np.int64))
     if factor_index == j:
         xj = -x.transpose(0, 2, 1) if cj == "d" else x
-        return np.kron(np.eye(factor_sizes[i], dtype=np.int64), xj)
-    return None
+        ops = ops + np.kron(np.eye(factor_sizes[i], dtype=np.int64), xj)
+    return ops
 
 
 def representation(factors, spec: ModuleSpec) -> CatalogAlgebra:
@@ -364,67 +367,6 @@ def scalar_on_summands(spec: ModuleSpec, factor_sizes, weights):
 # --- normalizer ----------------------------------------------------------
 
 
-def _normalizer_system(mats, n):
-    """Gram matrix of the linear system for the normalizer of U = span(mats)
-    in gl_n.
-
-    Returns (ann, gram).  ann is an integer basis of the annihilator of U
-    (n^2 - dim U functionals), and x normalizes U exactly when f([x, s]) = 0
-    for every generator s and every f in ann.  Those equations are the rows
-    of a system A over the n^2 entries of x, one row per pair; every
-    generator contributes rows, not only a basis of U (the rows of a
-    dependent generator are combinations of rows already present).
-    gram = A^T A has the same row space as A, because x^T A^T A x = |Ax|^2,
-    so it has the same rank and nullspace while its size, n^2 x n^2, does
-    not grow with the number of rows.  It is returned as lists of ints, and
-    as [] when A has no rows (no generators, or U = gl_n).
-
-    A is never formed: for each generator s the block F s^T - s^T F of its
-    rows is formed in int64 (F is the stack of ann as n x n matrices), one
-    term per nonzero entry of s, and block^T block is added in float64
-    through BLAS, on the columns the block touches.  The float sum is exact
-    while len(mats) * len(ann) * max|block entry|^2 < 2^53, because every
-    product and every partial sum is then an integer below 2^53; TooLarge
-    is raised beyond that bound, and when an int64 block entry could reach
-    2 n max|f| max|s| >= 2^63.
-
-    mats is a sequence of n x n integer matrices, lists or arrays;
-    MismatchedSize is raised for one of another size, and BadParameter
-    when n is None."""
-    if n is None:
-        raise BadParameter("the normalizer of no operators needs the size n")
-    if any(np.shape(m) != (n, n) for m in mats):
-        raise MismatchedSize("operator of another size than %d x %d" % (n, n))
-    mats = _int64(mats).reshape(len(mats), n, n)
-    ann = linalg.nullspace(_exact_rows(mats), n * n)
-    if not len(mats) or not ann:
-        return ann, []
-    fs = _int64(ann).reshape(len(ann), n, n)
-    if 2 * n * _magnitude(fs) * _magnitude(mats) >= 2**63:
-        raise TooLarge("normalizer system entries overflow int64")
-    terms = len(mats) * len(ann)
-    gram = np.zeros((n * n, n * n))
-    top = 0
-    for s in mats:
-        # F s^T - s^T F, one term per nonzero v = s[j][k]: it adds
-        # v F[:, :, k] to column j of every f and subtracts v F[:, j, :]
-        # from row k
-        block = np.zeros_like(fs)
-        for j, k in zip(*np.nonzero(s)):
-            v = s[j, k]
-            block[:, :, j] += v * fs[:, :, k]
-            block[:, k, :] -= v * fs[:, j, :]
-        block = block.reshape(len(ann), n * n)
-        top = max(top, int(np.abs(block).max()))
-        if terms * top * top >= 2**53:
-            raise TooLarge("normalizer Gram entries exceed exact float64 sums")
-        # only the columns the block touches change
-        cols = np.flatnonzero(block.any(axis=0))
-        sub = block[:, cols].astype(np.float64)
-        gram[np.ix_(cols, cols)] += sub.T @ sub
-    return ann, gram.astype(np.int64).tolist()
-
-
 def _int64(rows):
     try:
         return np.array(rows, dtype=np.int64)
@@ -434,20 +376,7 @@ def _int64(rows):
 
 def _magnitude(a):
     """max |entry| of an int64 array, as a Python int (np.abs wraps -2^63)."""
-    return max(int(a.max()), -int(a.min()))
-
-
-def normalizer_in_gl(k: CatalogAlgebra, extra_center=()) -> CatalogAlgebra:
-    """Normalizer of span(k.basis + extra_center) in gl_n; its basis is the
-    primitive integer nullspace basis of the normalizer system, read off the
-    system's Gram matrix (same nullspace, and the basis is canonical, so it
-    is the one the rows themselves give).  Raises TooLarge past the Gram
-    matrix's exactness bound (see _normalizer_system)."""
-    n = k.n
-    _, gram = _normalizer_system(list(k.basis) + list(extra_center), n)
-    sol = linalg.nullspace(gram, n * n)
-    meta = {"type": "normalizer", "rank": None, "factors": k.meta.get("factors")}
-    return CatalogAlgebra(sol, [], n, meta)
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 class NormalizerDim(int):
@@ -463,21 +392,74 @@ class NormalizerDim(int):
 
 
 def normalizer_dim(k_basis, extra_center=(), n=None):
-    """dim of the normalizer of span(k_basis + extra_center) in gl_n, as a
-    NormalizerDim whose span_dim is dim U = n^2 - len(ann).
+    """dim of the normalizer N(U) of U = span(k_basis + extra_center) in
+    gl_n, as a NormalizerDim whose span_dim is dim U.
 
     The span must be a Lie subalgebra (the table passes k plus central
-    operators).  Then the normalizer contains it, so the system has rank
-    at most n^2 - dim span = len(ann); a span found to break that bound is
-    not bracket-closed, and CapExceeded is raised.  Its rank is that of
-    its n^2 x n^2 Gram matrix, whose float64 assembly is exact below 2^53
-    (TooLarge beyond; see _normalizer_system); the capped-rank fast path
-    certifies the rank with the modular kernel alone, and exact Bareiss
-    runs, on the Gram matrix, only when the normalizer is strictly larger
-    than the span.  n, when not given, is the size of the first operator.
-    """
+    operators).  Only the entries of x in c are unknowns, where D is the
+    set of generators that are diagonal and c is their centralizer in
+    gl_n: the E_ij with d_i = d_j for every d in D.  D lies in U, so U is
+    stable under ad D, and so is N(U); both split into ad-D weight spaces,
+    E_ij having the weight d -> d_i - d_j.  Take x in N(U) of a weight
+    lambda != 0 and d in D with lambda(d) != 0: then lambda(d) x = [d, x]
+    lies in U, so x does.  Hence N(U) = U + N_c(U), and
+
+        dim N(U) = dim U - dim(U & c) + dim N_c(U).
+
+    ann, the canonical integer basis of the annihilator of U
+    (linalg.nullspace), is then graded too, one weight per vector; a
+    vector supported on two weights shows that U is not ad-D-stable, so
+    not a subalgebra, and CapExceeded is raised.  x in c normalizes U
+    exactly when f([x, s]) = 0 for every generator s and f in ann.  An f
+    of weight nu reads only the weight-nu part of s, so it is paired only
+    with the generators that have one (D itself commutes with c); the
+    row f([E_ij, s]), (i, j) in c, holds the entries of F s^T - s^T F
+    there, formed in int64 (TooLarge when an entry could reach
+    2 n max|f| max|s| >= 2^63).  The vectors of ann supported on c, cap
+    of them, span the annihilator of U & c inside c, so
+    cap = |c| - dim(U & c); N_c(U) contains U & c, so the rows have rank
+    at most cap.  rank_capped certifies the rank mod p, runs Bareiss
+    below the cap, and raises CapExceeded above it.  With no diagonal
+    generator c is gl_n and the rows are the whole system.
+
+    Generators are n x n integer matrices, lists or arrays; n, when not
+    given, is the size of the first.  MismatchedSize is raised for one of
+    another size, and BadParameter when there are none and no n."""
     mats = list(k_basis) + list(extra_center)
     if n is None and mats:
         n = len(mats[0])
-    ann, gram = _normalizer_system(mats, n)
-    return NormalizerDim(n * n - rank_capped(gram, len(ann)), n * n - len(ann))
+    if n is None:
+        raise BadParameter("the normalizer of no operators needs the size n")
+    if any(np.shape(m) != (n, n) for m in mats):
+        raise MismatchedSize("operator of another size than %d x %d" % (n, n))
+    s = _int64(mats).reshape(len(mats), n, n)
+    ann = linalg.nullspace(_exact_rows(s), n * n)
+    fs = _int64(ann).reshape(len(ann), n, n)
+    if 2 * n * _magnitude(fs) * _magnitude(s) >= 2**63:
+        raise TooLarge("normalizer system entries overflow int64")
+    span_dim = n * n - len(ann)
+    flat = s.reshape(len(s), n * n)
+    diagonal = ~flat[:, ~np.eye(n, dtype=bool).ravel()].any(axis=1)
+    d = flat[diagonal][:, :: n + 1]
+    # one id per weight d -> d_i - d_j of E_ij; E_00 has weight 0
+    weights = (d[:, :, None] - d[:, None, :]).reshape(len(d), n * n)
+    _, wid = np.unique(weights.T, axis=0, return_inverse=True)
+    wid = wid.ravel()
+    support = fs.reshape(len(ann), n * n) != 0
+    fw = wid[np.argmax(support, axis=1)]
+    if (support & (wid != fw[:, None])).any():
+        raise CapExceeded("span is not stable under its diagonal generators")
+    cap = int(np.count_nonzero(fw == wid[0]))
+    parts = np.zeros((len(s), wid.max() + 1), dtype=bool)
+    g, e = np.nonzero(flat)
+    parts[g, wid[e]] = True
+    parts[diagonal] = False
+    fi, gi = np.nonzero(parts[:, fw].T)
+    ci, cj = np.divmod(np.flatnonzero(wid == wid[0]), n)
+    # F s^T - s^T F at (ci, cj), one row per pair; the mixed indexing puts
+    # the summed index k last in every operand
+    rows = np.einsum(
+        "pck,pck->pc", fs[fi[:, None], ci], s[gi[:, None], cj]
+    ) - np.einsum("pck,pck->pc", s[gi[:, None], :, ci], fs[fi[:, None], :, cj])
+    rows = rows[rows.any(axis=1)].tolist()
+    return NormalizerDim(span_dim + cap - rank_capped(rows, cap), span_dim)

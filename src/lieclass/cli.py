@@ -89,7 +89,7 @@ def _factor_of_size(sizes, used, k):
 
 
 def parse_module_spec(text, sizes):
-    """Summand grammar: C1 (trivial line), Ck / Ck* (natural / dual of the
+    """Summand syntax: C1 (trivial line), Ck / Ck* (natural / dual of the
     k-dimensional factor), CjxCk (tensor of naturals), wedge2 / sym2 of a
     single factor."""
     from .algebras import ModuleSpec

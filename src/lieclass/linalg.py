@@ -10,9 +10,9 @@ products one at a time, and quivers absorbs vectors over Q(zeta_m) as
 their coordinate rows over Q (restriction of scalars).  No Fraction
 arithmetic is done; rational input rows are cleared of denominators
 once, on entry.  Ranks go through
-rank.py.  Sizes are modest: the largest systems are the table's spans and
-normalizer Gram matrices, at most n^2 rows over n^2 columns for a module of
-dimension n <= 32 (algebras.MAX_MATRIX_SIZE).
+rank.py.  Sizes are modest: the largest systems are the table's spans, at
+most n^2 rows over n^2 columns for a module of dimension n <= 32
+(algebras.MAX_MATRIX_SIZE).
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ class Partition:
         return cls(sorted(values, reverse=True))
 
     def conjugate(self):
-        """Transpose of the Young diagram."""
+        """The conjugate partition: its part i (from 0) counts the parts above i."""
         if not self.parts:
             return Partition(())
         return Partition(

@@ -9,7 +9,6 @@ from lieclass.algebras import (
     direct_sum,
     make_algebra,
     normalizer_dim,
-    normalizer_in_gl,
     representation,
     summand_scalars,
 )
@@ -59,8 +58,7 @@ class TestMakeAlgebra:
         assert k.check_closed()
 
     def test_normalizer_of_sl_is_gl(self):
-        norm = normalizer_in_gl(make_algebra("sl", 3))
-        assert norm.dim == 9
+        assert normalizer_dim(make_algebra("sl", 3).basis) == 9
 
     def test_normalizer_dim(self):
         so3 = make_algebra("so", 3).basis
@@ -87,9 +85,10 @@ class TestMakeAlgebra:
         assert normalizer_dim(basis) == dim
         assert normalizer_dim(basis + basis[:2] + [doubled]) == dim
         assert normalizer_dim(basis, [ident]) == normalizer_dim(basis, [ident, ident])
-        norm = normalizer_in_gl(rep)
-        assert norm.dim == dim
-        assert np.array_equal(normalizer_in_gl(rep, [doubled, ident]).basis, norm.basis)
+        assert normalizer_dim(rep.basis) == dim
+        assert normalizer_dim(rep.basis, [doubled, ident]) == normalizer_dim(
+            rep.basis, [ident]
+        )
 
 
 def _form_algebra(n, form, upper_only=False):
@@ -209,6 +208,18 @@ def test_representation_is_a_lie_homomorphism(factors, summands):
     if len(probes) == 2:
         x, y = rho[: starts[1], None], rho[None, starts[1] :]
         assert not (x @ y - y @ x).any()
+
+
+@pytest.mark.parametrize("dual", ["n", "d"])
+def test_tensor_of_a_factor_with_itself(dual):
+    """x acts on C^n (x) C^n as x (x) 1 + 1 (x) x, with -x^T on a dual
+    side; x -> x (x) 1 alone would also be a homomorphism."""
+    k = make_algebra("sl", 3)
+    rho = representation([k], ModuleSpec([("tensor", (0, "n"), (0, dual))])).basis
+    one = np.eye(3, dtype=np.int64)
+    for x, image in zip(k.basis, rho):
+        y = -x.T if dual == "d" else x
+        assert np.array_equal(image, np.kron(x, one) + np.kron(one, y))
 
 
 class TestSizeBound:

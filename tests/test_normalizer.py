@@ -1,13 +1,12 @@
-"""The table normalizer's Gram matrix against the rows it stands for.
+"""The table normalizer against the rows of its whole system.
 
-algebras._normalizer_system returns the Gram matrix A^T A of the normalizer
-system A instead of A.  The reference below builds the rows of A one by one
-in pure Python, the way the system is defined: one row f([., s]) per
-generator s and annihilating functional f.  Rank, nullspace and reduced
-echelon form must not tell the two apart.
+algebras.normalizer_dim solves only for the entries of x that commute
+with the diagonal generators (the rest of the normalizer lies in the span
+itself).  The reference below builds every row of the full system over all
+n^2 entries one by one in pure Python, the way the system is defined: one
+row f([., s]) per generator s and annihilating functional f.  The
+normalizer's dimension is n^2 minus the rank of those rows.
 """
-
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -15,12 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from lieclass import linalg
 from lieclass.algebras import (
-    CatalogAlgebra,
     ModuleSpec,
-    _normalizer_system,
     make_algebra,
     normalizer_dim,
-    normalizer_in_gl,
     representation,
     summand_scalars,
 )
@@ -54,31 +50,11 @@ def reference_rows(mats, n):
     return ann, rows
 
 
-def python_gram(rows, ncols):
-    return [
-        [sum(r[i] * r[j] for r in rows) for j in range(ncols)] for i in range(ncols)
-    ]
-
-
-def echelon_rows(rows):
-    red, pivots = linalg.rref(rows)
-    return red[: len(pivots)], pivots
-
-
 def assert_matches_reference(mats, n):
-    ann, rows = reference_rows(mats, n)
-    got_ann, gram = _normalizer_system(mats, n)
-    assert got_ann == ann
-    if rows:
-        assert echelon_rows(gram) == echelon_rows(rows)
-    else:
-        assert gram == []
+    _, rows = reference_rows(mats, n)
     dim = normalizer_dim(mats, (), n)
     assert dim == n * n - rank_exact(rows)
     assert dim.span_dim == rank_exact([linalg.flatten(m) for m in mats])
-    norm = normalizer_in_gl(CatalogAlgebra(mats, [], n, {}))
-    expected = linalg.nullspace(rows, n * n)
-    assert [linalg.flatten(b) for b in norm.basis] == expected
 
 
 # Modules of dimension <= 6 whose bases the generators are drawn from.
@@ -149,7 +125,7 @@ def generator_subsets(draw):
     return bracket_closure(mats), n
 
 
-class TestGramAgainstRows:
+class TestAgainstReferenceRows:
     @given(generator_subsets())
     @settings(max_examples=80)
     def test_random_generator_subsets(self, case):
@@ -196,7 +172,7 @@ class TestGramAgainstRows:
     def test_normalizer_larger_than_the_span(self):
         """so_5 plus the identity on two copies of C^5: the normalizer adds
         gl_2 on the multiplicities (dim 14 > 11), so the capped rank misses
-        its cap and the exact fallback ranks the Gram matrix."""
+        its cap and the exact fallback ranks the rows."""
         rep = representation(
             [make_algebra("so", 5)], ModuleSpec([("natural", 0), ("natural", 0)])
         )
@@ -205,17 +181,21 @@ class TestGramAgainstRows:
         assert_matches_reference(mats, rep.n)
 
     def test_no_generators(self):
-        ann, gram = _normalizer_system([], 3)
-        assert len(ann) == 9 and gram == []
         assert normalizer_dim([], (), 3) == 9
-        assert normalizer_in_gl(CatalogAlgebra([], [], 3, {})).dim == 9
+        assert normalizer_dim([], (), 3).span_dim == 0
         assert_matches_reference([], 3)
 
     def test_whole_of_gl(self):
         mats = make_algebra("gl", 3).basis.tolist()
-        ann, gram = _normalizer_system(mats, 3)
-        assert ann == [] and gram == []
+        assert normalizer_dim(mats) == normalizer_dim(mats).span_dim == 9
         assert_matches_reference(mats, 3)
+
+    def test_no_diagonal_generator(self):
+        """span(E12) has no diagonal generator, so every entry of x is an
+        unknown: its normalizer is the upper triangular matrices."""
+        e12 = [[0, 1], [0, 0]]
+        assert normalizer_dim([e12]) == 3
+        assert_matches_reference([e12], 2)
 
     def test_dependent_and_repeated_generators(self):
         n, pool = POOLS[7]  # sl_3 on C^3 + its dual, scalars, identity
@@ -227,49 +207,10 @@ class TestGramAgainstRows:
         assert normalizer_dim(twice) == normalizer_dim(pool)
 
 
-class TestExactnessBound:
-    """The Gram matrix is summed in float64; past 2^53 that sum could round,
-    so the system refuses with TooLarge rather than return a wrong rank."""
-
-    def scaled_case(self):
-        """sl_2 on S^2 C^2 and the largest scale c of its generators for
-        which len(mats) * len(ann) * max|row entry|^2 < 2^53."""
-        n, pool = POOLS[5]
-        mats = pool[:3]
-        ann, rows = reference_rows(mats, n)
-        terms = len(mats) * len(ann)
-        top = max(abs(x) for r in rows for x in r)
-        c = isqrt((2**53 - 1) // terms) // top
-        assert terms * (c * top) ** 2 < 2**53 <= terms * ((c + 1) * top) ** 2
-        return n, mats, c
-
-    @staticmethod
-    def scale(mats, c):
-        return [[[c * x for x in row] for row in m] for m in mats]
-
-    def test_just_below_the_bound_is_exact(self):
-        n, mats, c = self.scaled_case()
-        big = self.scale(mats, c)
-        _, rows = reference_rows(big, n)
-        _, gram = _normalizer_system(big, n)
-        assert max(max(row) for row in gram) > 2**49
-        assert gram == python_gram(rows, n * n)
-        assert normalizer_dim(big, (), n) == normalizer_dim(mats, (), n)
-
-    def test_past_the_bound_raises(self):
-        n, mats, c = self.scaled_case()
-        big = self.scale(mats, c + 1)
+def test_int64_overflow_raises():
+    for entry in (2**61, 2**64):
         with pytest.raises(TooLarge):
-            _normalizer_system(big, n)
-        with pytest.raises(TooLarge):
-            normalizer_dim(big, (), n)
-        with pytest.raises(TooLarge):
-            normalizer_in_gl(CatalogAlgebra(big, [], n, {}))
-
-    def test_int64_overflow_raises(self):
-        for entry in (2**61, 2**64):
-            with pytest.raises(TooLarge):
-                _normalizer_system([[[0, entry], [0, 0]]], 2)
+            normalizer_dim([[[0, entry], [0, 0]]], (), 2)
 
 
 def test_span_not_closed_under_the_bracket_raises():
@@ -281,6 +222,15 @@ def test_span_not_closed_under_the_bracket_raises():
         normalizer_dim([e12, linalg.identity(2), e21], (), 2)
 
 
+def test_span_not_stable_under_its_diagonal_generator_raises():
+    """[diag(1, 2, 4), E12 + E23] = -E12 - 2 E23 is outside span(diag(1, 2,
+    4), E12 + E23): the annihilator has a vector on two weights."""
+    d = [[1, 0, 0], [0, 2, 0], [0, 0, 4]]
+    e = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    with pytest.raises(CapExceeded):
+        normalizer_dim([d, e])
+
+
 def test_no_operators_and_no_size_is_a_bad_parameter():
     with pytest.raises(BadParameter):
         normalizer_dim([], (), None)
@@ -290,4 +240,4 @@ def test_an_operator_of_another_size_is_a_size_mismatch():
     with pytest.raises(MismatchedSize):
         normalizer_dim([linalg.identity(2)], [linalg.identity(3)])
     with pytest.raises(MismatchedSize):
-        normalizer_in_gl(make_algebra("sl", 2), [linalg.identity(3)])
+        normalizer_dim(make_algebra("sl", 2).basis, [linalg.identity(3)])

@@ -11,7 +11,6 @@ from lieclass.algebras import (
     direct_sum,
     gl_borel,
     make_algebra,
-    normalizer_in_gl,
     representation,
 )
 from lieclass.classifier import ClassificationDatum, datum_algebra
@@ -444,7 +443,6 @@ class TestResidues:
             direct_sum(*factors),
             representation(factors, spec),
             datum_algebra(ClassificationDatum((1,), [("so", 3), ("sl", 2)], 1)),
-            normalizer_in_gl(make_algebra("so", 4)),
         ]
         for k in builders:
             for mats in (k.basis, k.borel_basis):
