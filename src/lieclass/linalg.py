@@ -9,10 +9,10 @@ nullspace reads its vectors off rref, snmod's group-ring span absorbs
 products one at a time, and quivers absorbs vectors over Q(zeta_m) as
 their coordinate rows over Q (restriction of scalars).  No Fraction
 arithmetic is done; rational input rows are cleared of denominators
-once, on entry.  Ranks go through
-rank.py.  Sizes are modest: the largest systems are the table's spans, at
-most n^2 rows over n^2 columns for a module of dimension n <= 32
-(algebras.MAX_MATRIX_SIZE).
+once, on entry (primitive), and the integer rows formed after that are
+only divided by their gcd.  Ranks go through rank.py.  Sizes are
+modest: the largest systems are the table's spans, at most n^2 rows over
+n^2 columns for a module of dimension n <= 32 (algebras.MAX_MATRIX_SIZE).
 """
 
 from __future__ import annotations
@@ -54,9 +54,17 @@ def flatten(a):
 def primitive(row):
     """The primitive integer row on the ray of a rational row: denominators
     cleared, then divided by the (positive) gcd of the entries.  A zero row
-    stays zero."""
-    den = lcm(*(Fraction(x).denominator for x in row if type(x) is not int))
-    ints = [x * den if type(x) is int else int(Fraction(x) * den) for x in row]
+    stays zero.  Returns a new list."""
+    if {int}.issuperset(map(type, row)):
+        return _content_free(list(row))
+    den = lcm(*(Fraction(x).denominator for x in row))
+    return _content_free([int(Fraction(x) * den) for x in row])
+
+
+def _content_free(ints):
+    """A list of Python ints divided by the (positive) gcd of its entries:
+    the primitive form of a row that is already integer, as every row
+    formed inside Echelon and nullspace is."""
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -87,7 +95,7 @@ class Echelon:
             f = v[col]
             if f:
                 p = prow[col]
-                v = primitive([p * a - f * b for a, b in zip(v, prow)])
+                v = _content_free([p * a - f * b for a, b in zip(v, prow)])
         col = next((c for c, x in enumerate(v) if x), -1)
         if col < 0:
             return False
@@ -97,7 +105,8 @@ class Echelon:
         for pcol, prow in self.rows.items():
             f = prow[col]
             if f:
-                self.rows[pcol] = primitive([p * a - f * b for a, b in zip(prow, v)])
+                w = [p * a - f * b for a, b in zip(prow, v)]
+                self.rows[pcol] = _content_free(w)
         self.rows[col] = v
         return True
 
@@ -137,7 +146,7 @@ def nullspace(rows, ncols=None):
         v[free] = den
         for r, c in enumerate(pivots):
             v[c] = -red[r][free] * den // red[r][c]
-        basis.append(primitive(v))
+        basis.append(_content_free(v))
     return basis
 
 

@@ -33,14 +33,16 @@ of L^-1 have degree at most k - 1 in the drawn entries, an r x r minor of
 the constraint rows degree at most k r, and by Schwartz-Zippel one sample
 misses the generic rank with probability at most k r / (2 box + 1).
 
-The scan stops early once a sample's mod-p rank r_p is provably the
-highest any point can reach: when every lifted kernel vector of that
-sample acts trivially at every point (a scalar Y on the flags, Y = 0 on
-the module), each lift lies in the stabilizer of every point, so no point
-ranks above r_p, and r_p is the exact rank.  An empty kernel (full
-column rank) stops the scan the same way.  The test runs only when a
-sample sets a new best rank; since ties never replace the best, the
-verdict is the one the full scan would give.
+No point ranks above R, the rank of the Borel action itself: m minus
+the dimension of the v whose Y = sum v_b y_b acts trivially at every
+point (Y scalar on the flags, Y = 0 on the module), since every such v
+lies in every point's stabilizer.  R is taken once per Borel basis from
+linalg.nullspace, exactly, and cached by the basis' contents; it is
+computed only when the first sample is not a Yes.  The scan stops as
+soon as a sample's mod-p rank r_p reaches R: then r_p is the exact rank,
+an early stop is a certain No, and the samples left are not ranked (nor,
+on flags, drawn).  Only a scan that ends without a stop lifts a mod-p
+kernel, once, for its best sample.
 
 The flag entry points draw a sample's points, one per flag, when the scan
 first asks about that sample.  The scan visits the samples in order and
@@ -57,15 +59,16 @@ coordinates, the entries of g^-1 y g that must vanish, so each flag gives
 dim G/P rows.  Mod MOD_PRIME every product is a box-sized entry of L
 times a residue (no int64 overflow); the same steps over Python ints give
 the exact rows.  A Yes or an early stop at the first sample pays for that
-sample's residues alone.  Exact integers appear in two places only: the
-point g, g^-1 of a Yes certificate, formed from L when read, and the
-exact rows of the best sample of a scan that does not stop early, which
-the lifts are checked against and Bareiss ranks, read as Python ints
-(.tolist()), when that check fails.  The module oracle draws all its
-points at once and forms its rows as one int64 product, exact since every
-partial sum stays below 2^63, then reduces them mod p.  A call whose
-int64 residues, summed over its samples, would pass MAX_CELLS is refused
-with TooLarge before anything is drawn.
+sample's residues alone (and R, for a stop, unless cached).  Exact
+integers appear in three places only: R's nullspace, the point g, g^-1
+of a Yes certificate, formed from L when read, and the exact rows of the
+best sample of a scan that does not stop early, which the lifts are
+checked against and Bareiss ranks, read as Python ints (.tolist()), when
+that check fails.  The module oracle draws all its points at once and
+forms its rows as one int64 product, exact since every partial sum stays
+below 2^63, then reduces them mod p.  A call whose int64 residues, summed
+over its samples, would pass MAX_CELLS is refused with TooLarge before
+anything is drawn.
 """
 
 from __future__ import annotations
@@ -255,27 +258,40 @@ def borel_orbit_dim_at(b, x: FlagPoint):
     return rank_exact(_flag_residues(borel, [(x,)], (flag,), None)[0].tolist())
 
 
-def _scan(target, residues, exact_rows, certificate, acts_trivially, samples, seed):
+def _scan(target, residues, exact_rows, certificate, max_rank, samples, seed):
     """Shared max-rank loop: modular rank per sample, Yes on certification,
-    otherwise the exact rank at the best sample, proved by a stabilizer
-    certificate or, failing that, by Bareiss.
+    a certain No when a rank reaches R, otherwise the exact rank at the
+    best sample, proved by a stabilizer certificate or, failing that, by
+    Bareiss.
 
     residues(i) is the constraint matrix of sample i mod p, one column per
     Borel basis element, exact_rows(i) the same matrix over Z as an object
     array (formed once, for the best sample of a scan that does not stop
     early), certificate(i) the point a Yes at sample i carries, and
-    acts_trivially(v) whether the integer combination v of the Borel
-    basis acts trivially at every point, checked exactly.
+    max_rank() the integer R, the highest rank any point can reach (m
+    minus the dimension of the v whose sum v_b y_b acts trivially at every
+    point).  R is asked for once, after the first sample if it is not a
+    Yes, so a Yes at the first sample never computes it.
 
-    Early stop: when a sample sets a new best rank r_p, its mod-p kernel
-    is lifted at once.  If every lift acts trivially (or the kernel is
-    empty), each lift lies in every point's stabilizer, so no sample can
-    rank above r_p and r_p is exact: the scan returns ProbablyNo(r_p)
-    without ranking the rest.  A later sample could only tie, and ties
-    never replace the best, so the verdict is the full scan's.  Otherwise
-    the lifts are kept for the best sample's certificate at the end of
-    the scan."""
-    best_rank, best_index, lifts = -1, -1, None
+    Early stop: a sample whose mod-p rank r_p equals R ends the scan with
+    ProbablyNo(r_p), without ranking the rest.  Its verdicts are those of
+    the full scan, and of the lift rule, which stops at a new best sample
+    whose lifted kernel vectors all act trivially:
+
+    - Every point's kernel contains the trivially acting v, so no rank
+      exceeds R, and r_p = R is the exact rank.
+    - The lift rule needs m - r_p independent lifts that all act
+      trivially, so m - r_p <= m - R, hence r_p = R: both rules stop at
+      the same sample.
+    - A sample with r_p = R that the lift rule passes over (a kernel
+      entry did not reconstruct) cannot be beaten later, since ties never
+      replace the best; that scan ends with the same exact rank, through
+      its certificate or Bareiss.
+    - A Yes is still checked first.
+
+    A scan that ends without a stop lifts the mod-p kernel of its best
+    sample, once, for the stabilizer certificate."""
+    best_rank, best_index, best_echelon = -1, -1, None
     for idx in range(samples):
         res = residues(idx)
         echelon = np.empty(res.shape, dtype=np.int64)
@@ -284,13 +300,14 @@ def _scan(target, residues, exact_rows, certificate, acts_trivially, samples, se
             return OracleVerdict(
                 "Yes", target, target, samples, seed, certificate(idx)
             )
+        if not idx:
+            bound = max_rank()
+        if rp == bound:
+            return OracleVerdict("ProbablyNo", rp, target, samples, seed)
         if rp > best_rank:
-            best_rank, best_index = rp, idx
-            lifts = _lift_kernel(echelon, rp)
-            if lifts is not None and all(map(acts_trivially, lifts)):
-                return OracleVerdict("ProbablyNo", rp, target, samples, seed)
+            best_rank, best_index, best_echelon = rp, idx, echelon
     rows = exact_rows(best_index)
-    if _stabilizer_certified(lifts, rows):
+    if _stabilizer_certified(_lift_kernel(best_echelon, best_rank), rows):
         return OracleVerdict("ProbablyNo", best_rank, target, samples, seed)
     exact = rank_exact(rows.tolist())
     if exact >= target:
@@ -298,6 +315,35 @@ def _scan(target, residues, exact_rows, certificate, acts_trivially, samples, se
             "Yes", target, target, samples, seed, certificate(best_index)
         )
     return OracleVerdict("ProbablyNo", exact, target, samples, seed)
+
+
+def _max_rank(borel, scalars_act_trivially):
+    """R = m - dim{v : Y = sum v_b y_b acts trivially}, the highest rank of
+    the constraint rows at any point, for an int64 (m, n, n) Borel basis:
+    Y scalar when scalars_act_trivially (flags), Y = 0 otherwise (a
+    module).  On flags R = rank([b; I]) - 1.  Cached by the basis'
+    shape, nonzero indices and values."""
+    idx = np.flatnonzero(borel)
+    vals = borel.ravel()[idx]
+    return _max_rank_of(
+        borel.shape, idx.tobytes(), vals.tobytes(), scalars_act_trivially
+    )
+
+
+@lru_cache(maxsize=1024)
+def _max_rank_of(shape, idx, vals, scalars_act_trivially):
+    """_max_rank on its cache key.  The kernel of [y_1 ... y_m | I] (or of
+    [y_1 ... y_m]), one equation per matrix entry, projects one to one
+    onto the v in question, since I is not zero."""
+    m, n = shape[0], shape[-1]
+    cols = np.zeros(m * n * n, dtype=np.int64)
+    cols[np.frombuffer(idx, dtype=np.intp)] = np.frombuffer(vals, dtype=np.int64)
+    cols = cols.reshape(m, n * n)
+    if scalars_act_trivially:
+        cols = np.vstack([cols, np.eye(n, dtype=np.int64).reshape(1, n * n)])
+    rows = cols.T
+    rows = rows[rows.any(axis=1)]
+    return m - len(linalg.nullspace(rows.tolist(), len(cols)))
 
 
 def _lift_kernel(echelon, rank):
@@ -321,7 +367,7 @@ def _stabilizer_certified(lifts, rows):
     vectors bound it by m - k from above once they are independent.  They
     are: each lift reduces to a unit multiple of its mod-p vector, which
     is 1 at its own free column and 0 at the others.  The scan asks only
-    after a sample whose kernel did not stop it, so a list of lifts is
+    when no sample reached R <= m, so r_p < m and a list of lifts is
     never empty."""
     return lifts is not None and not np.count_nonzero(
         np.dot(rows, np.array(lifts, dtype=object).T)
@@ -370,19 +416,12 @@ def _flag_verdict(n, k, flags, samples, seed, box):
     def certificate(i):
         return points(i) if len(flags) > 1 else points(i)[0]
 
-    def acts_trivially(v):
-        # a scalar Y = sum v_b y_b fixes every flag
-        v = np.array(v, dtype=object)
-        nz = np.flatnonzero(v)
-        y = np.dot(v[nz], mats[nz].reshape(len(nz), n * n).astype(object))
-        return not np.count_nonzero(y.reshape(n, n) - np.diag([y[0]] * n))
-
     return _scan(
         sum(f.dim() for f in flags),
         residues,
         partial(residues, p=None),
         certificate,
-        acts_trivially,
+        partial(_max_rank, mats, True),
         samples,
         seed,
     )
@@ -433,18 +472,12 @@ def is_spherical_module(
     # 2^63: one column per Borel basis element, as the scan ranks them
     rows = np.matmul(borel, points.T).transpose(2, 1, 0)
     residues = rows % MOD_PRIME
-    flat = borel.reshape(len(borel), n * n)
-
-    def acts_trivially(v):
-        # Y = sum v_b y_b = 0 kills every point
-        return not np.count_nonzero(np.dot(v, flat.astype(object)))
-
     return _scan(
         n,
         residues.__getitem__,
         lambda i: rows[i].astype(object),
         points.tolist().__getitem__,
-        acts_trivially,
+        partial(_max_rank, borel, False),
         samples,
         seed,
     )

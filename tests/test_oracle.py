@@ -763,43 +763,65 @@ class TestStabilizerCertificate:
         assert v.kind == "Yes" and drawn == [full]
 
     def test_forged_lift_is_rejected_and_bareiss_decides(self, monkeypatch):
-        # two full flags of C^4 under the gl_4 Borel: the kernel is the scalars
-        full = FlagType((1, 2, 3), 4)
+        # sl(3)+so(3) on C^6 at Gr(2, 6), a criterion-1 datum: every sample
+        # ranks below R, so the scan ends without a stop and lifts the
+        # best sample's kernel (dimension 2), which the honest lifts prove
+        d = ClassificationDatum((2,), [("sl", 3), ("so", 3)], 0)
+        k = datum_algebra(d)
 
         def verdict():
-            gl = partial(gl_borel, 4)
-            return oracle._flag_verdict(4, gl, (full, full), 5, 2, COEFF_BOX)
+            return is_spherical_flag(k, d.flag, seed=2)
 
         honest = verdict()
-        assert (honest.kind, honest.rank, honest.target) == ("ProbablyNo", 9, 12)
-        lift, exact_calls = oracle.lift_vector, []
+        assert (honest.kind, honest.rank, honest.target) == ("ProbablyNo", 7, 8)
+        lift, honest_lifts, exact_calls = oracle.lift_vector, [], []
 
         def forged(v):
             w = lift(v)
+            honest_lifts.append(w)
             return None if w is None else [x + 1 for x in w]
 
         def counted(rows):
-            exact_calls.append(len(rows))
+            exact_calls.append(rows)
             return rank_exact(rows)
 
-        # the identity, sum of the E_ii in the Borel's order, is the kernel
-        scalar = [int(i == j) for i in range(4) for j in range(i, 4)]
         certified, checks = oracle._stabilizer_certified, []
 
         def checked(lifts, rows):
             ok = certified(lifts, rows)
-            checks.append((ok, certified([scalar], rows)))
+            checks.append((ok, certified(honest_lifts, rows), rows.tolist()))
             return ok
 
         monkeypatch.setattr(oracle, "lift_vector", forged)
         monkeypatch.setattr(oracle, "rank_exact", counted)
         monkeypatch.setattr(oracle, "_stabilizer_certified", checked)
         v = verdict()
-        # the forged lift is not scalar, so no sample stops the scan; at
-        # its end the best sample's rows reject the forged lift and pass
-        # the honest one, and Bareiss ranks the same 12 rows
-        assert checks == [(False, True)] and exact_calls == [12]
+        # at the end of the scan the best sample's rows reject the forged
+        # lifts and pass the honest ones, and Bareiss ranks the same 8 rows
+        assert [c[:2] for c in checks] == [(False, True)] and len(honest_lifts) == 2
+        assert exact_calls == [checks[0][2]] and len(exact_calls[0]) == 8
         assert (v.kind, v.rank, v.target) == (honest.kind, honest.rank, honest.target)
+
+    @pytest.mark.parametrize("cases", ["_pair_cases", "_criterion_cases"])
+    def test_a_scan_lifts_one_kernel_and_only_without_a_stop(
+        self, monkeypatch, cases
+    ):
+        calls, kernel = self._record(monkeypatch), oracle.kernel_modp
+
+        def kernel_spy(a, rank=None):
+            calls[-1]["kernels"] = calls[-1].get("kernels", 0) + 1
+            return kernel(a, rank=rank)
+
+        monkeypatch.setattr(oracle, "kernel_modp", kernel_spy)
+        stops = ends = 0
+        for n, k, flags in getattr(self, cases)():
+            v = oracle._flag_verdict(n, k, flags, 5, 3, COEFF_BOX)
+            call = calls[-1]
+            # a scan that forms exact rows ended without a stop or a Yes
+            assert call.get("kernels", 0) == len(call["formed"]) <= 1
+            stops += v.kind == "ProbablyNo" and not call["formed"]
+            ends += bool(call["formed"])
+        assert stops > 100 and ends > 10
 
     def test_module_with_empty_kernel_needs_no_bareiss(self, monkeypatch):
         def refuse(rows):
@@ -829,3 +851,75 @@ class TestStabilizerCertificate:
         v = is_spherical_module([make_algebra(*f) for f in factors], spec)
         assert (v.kind, v.rank, v.target) == ("ProbablyNo", 27, 30)
         assert kernels == [28] and len(exact_calls) == 1
+
+
+class TestMaxRank:
+    """R, the rank of the Borel action itself, from linalg.nullspace: m minus
+    the v whose combination is scalar (flags) or zero (modules)."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_gl_loses_the_scalars_on_flags(self, n):
+        borel = gl_borel(n)
+        assert oracle._max_rank(borel, True) == len(borel) - 1
+        assert oracle._max_rank(borel, False) == len(borel)
+
+    @pytest.mark.parametrize(
+        "tag, n", [("sl", 2), ("sl", 5), ("so", 3), ("so", 6), ("sp", 4), ("sp", 6)]
+    )
+    def test_semisimple_borels_act_faithfully(self, tag, n):
+        borel = make_algebra(tag, n).borel_basis
+        assert oracle._max_rank(borel, True) == len(borel)
+        assert oracle._max_rank(borel, False) == len(borel)
+
+    @pytest.mark.parametrize("scalars", [True, False])
+    def test_duplicate_and_zero_elements_count_once(self, scalars):
+        borel = gl_borel(4)
+        padded = np.concatenate([borel, borel[:3], np.zeros((2, 4, 4), np.int64)])
+        want = len(borel) - scalars
+        assert oracle._max_rank(borel, scalars) == want
+        assert oracle._max_rank(padded, scalars) == want
+
+    def test_module_scalar_already_in_the_representation(self, monkeypatch):
+        bounds, scan = [], oracle._scan
+
+        def spy(target, residues, exact_rows, certificate, max_rank, *rest):
+            bounds.append((len(exact_rows(0)[0]), max_rank()))
+            return scan(target, residues, exact_rows, certificate, max_rank, *rest)
+
+        monkeypatch.setattr(oracle, "_scan", spy)
+        for text in ("gl(3) on C3+C3", "sl(3) on C3+C3"):
+            factors, spec = parse_algebra_module(text)
+            is_spherical_module([make_algebra(*f) for f in factors], spec)
+        # gl(3) holds I already, so the appended scalar adds nothing: 7 - 1;
+        # sl(3) plus I is faithful on C^6
+        assert bounds == [(7, 6), (6, 6)]
+
+    def test_empty_basis(self):
+        empty = np.zeros((0, 3, 3), dtype=np.int64)
+        assert oracle._max_rank(empty, True) == oracle._max_rank(empty, False) == 0
+
+    def test_cached_by_contents(self):
+        oracle._max_rank_of.cache_clear()
+        borel = make_algebra("so", 7).borel_basis
+        first = oracle._max_rank(borel, True)
+        assert oracle._max_rank(np.array(borel), True) == first
+        assert oracle._max_rank(borel, False) == first
+        info = oracle._max_rank_of.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    def test_a_yes_at_the_first_sample_never_computes_it(self, monkeypatch):
+        asked, bound = [], oracle._max_rank
+
+        def spy(borel, scalars):
+            asked.append(scalars)
+            return bound(borel, scalars)
+
+        monkeypatch.setattr(oracle, "_max_rank", spy)
+        full = FlagType(tuple(range(1, 8)), 8)
+        assert is_spherical_flag(make_algebra("sl", 8), full, samples=20)
+        factors, spec = parse_algebra_module("sl(3) on C3")
+        assert is_spherical_module([make_algebra(*f) for f in factors], spec)
+        assert asked == []
+        two = FlagType((1, 2, 3), 4)
+        v = oracle._flag_verdict(4, partial(gl_borel, 4), (two, two), 5, 2, COEFF_BOX)
+        assert not v and asked == [True]
