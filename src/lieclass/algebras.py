@@ -4,19 +4,24 @@ Every basis is one read-only int64 array of shape (m, n, n), m integer
 n x n matrices: CatalogAlgebra builds it once from what it is given, the
 builders here form their matrices as arrays, and every consumer reads
 them as they are.  The exact steps (independence and bracket checks, the
-annihilator of a span, the normalizer's rank) read the entries as Python
-ints through .tolist(), never as int64 scalars, whose products could wrap;
-the normalizer's rows are formed in int64 only below a proven bound.
+echelon form of a span) read the entries as Python ints through
+.tolist(), never as int64 scalars, whose products could wrap.  The
+normalizer's annihilator is read off that echelon form (linalg.rref) as
+one int64 array (through linalg.nullspace when the entries of the echelon
+form are too large for that), and its rows are formed in int64, each only
+below a proven bound; rank_capped takes those rows as they are.
 normalizer_dim solves only for the entries of x that commute with the
-diagonal generators of the span.  so_n and sp_n are realized through ANTIDIAGONAL bilinear
-forms, so the intersection with upper-triangular matrices is a genuine
-Borel subalgebra and no triangular decomposition has to be computed.
+diagonal generators of the span.  so_n and sp_n are realized through
+ANTIDIAGONAL bilinear forms, so the intersection with upper-triangular
+matrices is a genuine Borel subalgebra and no triangular decomposition
+has to be computed.
 Their bases are written down in closed form (_form_basis): each equation
 of the form pairs two matrix entries, so no linear system is solved.
 Modules built from factors (naturals, duals, symmetric and exterior
 squares, two-factor tensor products, trivial summands) are assembled by
 pushing each factor's basis, as one stack, through the representation
-maps into the diagonal blocks of the summands.  make_algebra,
+maps into the diagonal blocks of the summands; x (x) 1 and 1 (x) x are
+formed for the whole stack by broadcasting (_kron).  make_algebra,
 representation and the flag oracle refuse (TooLarge) any size above
 MAX_MATRIX_SIZE before building a matrix.
 """
@@ -24,6 +29,7 @@ MAX_MATRIX_SIZE before building a matrix.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -270,7 +276,17 @@ def _square_ops(x, symmetric):
     fold = np.zeros((len(a), n * n), dtype=np.int64)
     fold[np.arange(len(a)), b * n + a] = 1 if symmetric else -1
     fold[np.arange(len(a)), a * n + b] = 1
-    return fold @ (np.kron(x, one) + np.kron(one, x))[:, :, a * n + b]
+    return fold @ (_kron(x, one) + _kron(one, x))[:, :, a * n + b]
+
+
+def _kron(x, y):
+    """np.kron over the last two axes, with the leading (stack) axes
+    broadcast: x (x) y has the entry x[i, j] y[k, l] at (i q + k, j s + l)
+    for y of shape (q, s)."""
+    p, r = x.shape[-2:]
+    q, s = y.shape[-2:]
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (p * q, r * s))
 
 
 def _summand_ops(x, factor_index, summand, factor_sizes):
@@ -295,10 +311,10 @@ def _summand_ops(x, factor_index, summand, factor_sizes):
     ops = 0
     if factor_index == i:
         xi = -x.transpose(0, 2, 1) if ci == "d" else x
-        ops = np.kron(xi, np.eye(factor_sizes[j], dtype=np.int64))
+        ops = _kron(xi, np.eye(factor_sizes[j], dtype=np.int64))
     if factor_index == j:
         xj = -x.transpose(0, 2, 1) if cj == "d" else x
-        ops = ops + np.kron(np.eye(factor_sizes[i], dtype=np.int64), xj)
+        ops = ops + _kron(np.eye(factor_sizes[i], dtype=np.int64), xj)
     return ops
 
 
@@ -406,21 +422,23 @@ def normalizer_dim(k_basis, extra_center=(), n=None):
 
         dim N(U) = dim U - dim(U & c) + dim N_c(U).
 
-    ann, the canonical integer basis of the annihilator of U
-    (linalg.nullspace), is then graded too, one weight per vector; a
-    vector supported on two weights shows that U is not ad-D-stable, so
-    not a subalgebra, and CapExceeded is raised.  x in c normalizes U
-    exactly when f([x, s]) = 0 for every generator s and f in ann.  An f
-    of weight nu reads only the weight-nu part of s, so it is paired only
-    with the generators that have one (D itself commutes with c); the
-    row f([E_ij, s]), (i, j) in c, holds the entries of F s^T - s^T F
-    there, formed in int64 (TooLarge when an entry could reach
-    2 n max|f| max|s| >= 2^63).  The vectors of ann supported on c, cap
-    of them, span the annihilator of U & c inside c, so
-    cap = |c| - dim(U & c); N_c(U) contains U & c, so the rows have rank
-    at most cap.  rank_capped certifies the rank mod p, runs Bareiss
-    below the cap, and raises CapExceeded above it.  With no diagonal
-    generator c is gl_n and the rows are the whole system.
+    ann, the canonical integer basis of the annihilator of U (the vectors
+    of linalg.nullspace, read off linalg.rref of the span as one int64
+    array by _annihilator; TooLarge when a vector does not fit), is
+    then graded too, one weight per vector; a vector supported on two
+    weights shows that U is not ad-D-stable, so not a subalgebra, and
+    CapExceeded is raised.  x in c normalizes U exactly when f([x, s]) = 0
+    for every generator s and f in ann.  An f of weight nu reads only the
+    weight-nu part of s, so it is paired only with the generators that
+    have one (D itself commutes with c); the row f([E_ij, s]), (i, j) in
+    c, holds the entries of F s^T - s^T F there, formed in int64
+    (TooLarge when an entry could reach 2 n max|f| max|s| >= 2^63).  The
+    vectors of ann supported on c, cap of them, span the annihilator of
+    U & c inside c, so cap = |c| - dim(U & c); N_c(U) contains U & c, so
+    the rows have rank at most cap.  rank_capped takes the rows as one
+    int64 array, certifies the rank mod p, runs Bareiss below the cap, and
+    raises CapExceeded above it.  With no diagonal generator c is gl_n and the
+    rows are the whole system.
 
     Generators are n x n integer matrices, lists or arrays; n, when not
     given, is the size of the first.  MismatchedSize is raised for one of
@@ -433,19 +451,14 @@ def normalizer_dim(k_basis, extra_center=(), n=None):
     if any(np.shape(m) != (n, n) for m in mats):
         raise MismatchedSize("operator of another size than %d x %d" % (n, n))
     s = _int64(mats).reshape(len(mats), n, n)
-    ann = linalg.nullspace(_exact_rows(s), n * n)
-    fs = _int64(ann).reshape(len(ann), n, n)
-    if 2 * n * _magnitude(fs) * _magnitude(s) >= 2**63:
+    ann = _annihilator(s)
+    if 2 * n * _magnitude(ann) * _magnitude(s) >= 2**63:
         raise TooLarge("normalizer system entries overflow int64")
     span_dim = n * n - len(ann)
     flat = s.reshape(len(s), n * n)
     diagonal = ~flat[:, ~np.eye(n, dtype=bool).ravel()].any(axis=1)
-    d = flat[diagonal][:, :: n + 1]
-    # one id per weight d -> d_i - d_j of E_ij; E_00 has weight 0
-    weights = (d[:, :, None] - d[:, None, :]).reshape(len(d), n * n)
-    _, wid = np.unique(weights.T, axis=0, return_inverse=True)
-    wid = wid.ravel()
-    support = fs.reshape(len(ann), n * n) != 0
+    wid = _weight_ids(flat[diagonal][:, :: n + 1])
+    support = ann != 0
     fw = wid[np.argmax(support, axis=1)]
     if (support & (wid != fw[:, None])).any():
         raise CapExceeded("span is not stable under its diagonal generators")
@@ -455,11 +468,62 @@ def normalizer_dim(k_basis, extra_center=(), n=None):
     parts[g, wid[e]] = True
     parts[diagonal] = False
     fi, gi = np.nonzero(parts[:, fw].T)
+    fs = ann.reshape(len(ann), n, n)
     ci, cj = np.divmod(np.flatnonzero(wid == wid[0]), n)
     # F s^T - s^T F at (ci, cj), one row per pair; the mixed indexing puts
     # the summed index k last in every operand
     rows = np.einsum(
         "pck,pck->pc", fs[fi[:, None], ci], s[gi[:, None], cj]
     ) - np.einsum("pck,pck->pc", s[gi[:, None], :, ci], fs[fi[:, None], :, cj])
-    rows = rows[rows.any(axis=1)].tolist()
+    rows = rows[rows.any(axis=1)]
     return NormalizerDim(span_dim + cap - rank_capped(rows, cap), span_dim)
+
+
+def _annihilator(s):
+    """The canonical integer basis of the annihilator of the span of the
+    stack s, as one int64 array: the vectors linalg.nullspace gives, in its
+    order, read off linalg.rref of the flat matrices.
+
+    With pivot rows red[r] (pivot p_r at column c_r) and den the lcm of the
+    pivots, the vector of free column f is den e_f - sum_r red[r][f]
+    (den / p_r) e_{c_r}, divided by the gcd of its entries.  Every entry is
+    at most den max|red| in size, so the vectors are formed in int64 when
+    that stays below 2^63.  Otherwise they come from linalg.nullspace, which
+    forms each one over Python ints: den, the lcm of every pivot, can be far
+    larger than what one primitive vector needs, and only the vectors
+    themselves must fit in int64 (TooLarge)."""
+    nn = s.shape[1] * s.shape[2]
+    rows = _exact_rows(s)
+    red, pivots = linalg.rref(rows)
+    den = lcm(*(red[r][c] for r, c in enumerate(pivots)))
+    try:
+        red = _int64(red[: len(pivots)]).reshape(len(pivots), nn)
+        fits = den * _magnitude(red) < 2**63
+    except TooLarge:
+        fits = False
+    if not fits:
+        return _int64(linalg.nullspace(rows, nn)).reshape(-1, nn)
+    pivots = np.array(pivots, dtype=np.intp)
+    pivot_values = red[np.arange(len(pivots)), pivots]
+    free = np.ones(nn, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    ann = np.zeros((len(free), nn), dtype=np.int64)
+    ann[np.arange(len(free)), free] = den
+    ann[:, pivots] = -(red[:, free] * (den // pivot_values)[:, None]).T
+    return ann // np.gcd.reduce(ann, axis=1)[:, None]
+
+
+def _weight_ids(d):
+    """One id per weight of E_ij under the diagonal matrices whose diagonals
+    are the rows of d, the weight being d -> d_i - d_j; E_00 has weight 0.
+
+    The k weight components of each E_ij are packed into one 1-D key, a
+    byte string of k + 1 int64 values (the first always 0, so that k may be
+    0), and ids are read off np.unique of the keys: E_ij and E_kl get one id
+    exactly when their weights agree."""
+    k, n = d.shape
+    weights = np.zeros((n, n, k + 1), dtype=np.int64)
+    weights[:, :, 1:] = d.T[:, None, :] - d.T[None, :, :]
+    keys = weights.reshape(n * n, k + 1).view(np.dtype((np.void, 8 * (k + 1))))
+    return np.unique(keys.ravel(), return_inverse=True)[1].ravel()

@@ -18,12 +18,16 @@ an m-column matrix bound its rank over Q by m - k, which meets the modular
 rank from above (the oracle does this with stabilizer vectors).  Whatever
 that cannot prove, because a kernel entry is too large for one prime or a
 lift fails its check, is re-done by fraction-free Bareiss elimination over
-Python ints, exact for arbitrary entry sizes.  rank_capped certifies a
-rank at its cap mod p and falls back to Bareiss below it.
+Python ints, exact for arbitrary entry sizes.  rank_capped takes an
+integer array, certifies a rank at its cap mod p and falls back to
+Bareiss below it; only that fallback reads the entries as Python ints.
 
 Entries must be integers (Python or numpy ints); they are read with
 operator.index, and the modular elimination accepts only integer dtypes,
 so a Fraction or float raises TypeError instead of being truncated.
+rank_capped reads its input with np.asarray and so takes integers in the
+range of one numpy integer dtype only: a list holding an entry beyond
+int64 becomes an object or float64 array and raises TypeError.
 Rational rows are cleared of denominators first (linalg.primitive).
 """
 
@@ -206,19 +210,24 @@ def reduce_mod(rows, p=MOD_PRIME):
     )
 
 
-def rank_capped(rows, cap):
-    """Exact rank of an integer matrix known in advance to be <= cap.
+def rank_capped(a, cap):
+    """Exact rank of an integer array known in advance to be <= cap.
 
-    The modular kernel certifies rank == cap directly; otherwise the exact
-    Bareiss rank is returned.  A rank found above the cap (mod p, or by
-    Bareiss) proves the premise false and raises CapExceeded.
+    The array is reduced mod p with np.remainder (rank_modp), and a modular
+    rank at the cap certifies rank == cap directly; otherwise the exact
+    Bareiss rank of its entries, read as Python ints, is returned.  A rank
+    found above the cap (mod p, or by Bareiss) proves the premise false and
+    raises CapExceeded.  Entries of a non-integer dtype raise TypeError,
+    and so does a list with an entry beyond int64 (np.asarray makes it an
+    object or float64 array).
     """
-    if not rows or not rows[0]:
+    a = np.asarray(a)
+    if not a.size:
         return 0
-    cap = min(cap, len(rows), len(rows[0]))
-    rank = rank_modp(reduce_mod(rows))
+    cap = min(cap, *a.shape)
+    rank = rank_modp(a)
     if rank < cap:
-        rank = rank_exact(rows)
+        rank = rank_exact(a.tolist())
     if rank > cap:
         raise CapExceeded("rank %d exceeds the stated bound %d" % (rank, cap))
     return rank

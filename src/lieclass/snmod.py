@@ -12,6 +12,11 @@ group-ring span are found by linalg's one fraction-free elimination on
 primitive integer rows: fixed spaces by linalg.nullspace, the span by
 absorbing each new product into a linalg.Echelon, so membership of a
 product is a single reduction pass.  No basis is carried in Fractions.
+The span works on coefficient lists over the permutations, and right
+multiplication by a generator s_i + 1 is an index map on them
+(prod[j] = e[j] + e[m_i[j]]), read once per generator off one
+pf_ring_multiply; GroupAlgebraElement and pf_ring_multiply, the dict
+convolution, are the general product.
 """
 
 from __future__ import annotations
@@ -381,33 +386,50 @@ def pf_ring_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement):
     return GroupAlgebraElement(a.n, out)
 
 
+def _plus_one_maps(n):
+    """The permutations of _all_perms(n) and, for each generator s_i + 1,
+    the index map m_i with e (s_i + 1) = [e[j] + e[m_i[j]] for j]: the
+    coefficient of perms[j] in e s_i is e[m_i[j]].
+
+    Each map is read off one pf_ring_multiply, so it follows the ring's
+    product convention by construction: the element L with coefficient
+    j + 1 at perms[j] has L (s_i + 1) = [(j + 1) + (m_i[j] + 1) for j]."""
+    perms = _all_perms(n)
+    labels = GroupAlgebraElement(n, {p: j + 1 for j, p in enumerate(perms)})
+    maps = []
+    for i in range(1, n):
+        prod = pf_ring_multiply(labels, GroupAlgebraElement.transposition_plus_one(n, i))
+        maps.append([prod.coeffs[p] - j - 2 for j, p in enumerate(perms)])
+    return perms, maps
+
+
+def _times_plus_one(e, m):
+    """e (s_i + 1) for a coefficient list e and the index map m of s_i:
+    the coefficient list of pf_ring_multiply(e, s_i + 1)."""
+    return [a + e[k] for a, k in zip(e, m)]
+
+
 def pf_generators_span(n) -> bool:
     """Do {s_i + 1} generate Z[S_n] as a unital ring?  Checked by spanning
-    over Q: iterate products until the linear span stabilizes at n!."""
+    over Q: iterate products until the linear span stabilizes at n!.
+    Elements are coefficient lists over _all_perms(n), and each product is
+    the index map of _plus_one_maps, so no GroupAlgebraElement is formed
+    in the loop."""
+    if n < 0:
+        raise BadParameter("S_n needs n >= 0")
     if n > _SPAN_CAP:
         raise TooLarge("generation check supports n <= %d" % _SPAN_CAP)
-    perms = _all_perms(n)
-    index = {p: k for k, p in enumerate(perms)}
+    perms, maps = _plus_one_maps(n)
     target = len(perms)
-
-    def vec(elem):
-        v = [0] * target
-        for p, c in elem.coeffs.items():
-            v[index[p]] = c
-        return v
-
-    gens = [
-        GroupAlgebraElement.transposition_plus_one(n, i) for i in range(1, n)
-    ]
     span = linalg.Echelon()
-    unit = GroupAlgebraElement.unit(n)
-    span.absorb(vec(unit))
+    unit = [1] + [0] * (target - 1)  # perms[0] is the identity
+    span.absorb(unit)
     frontier = [unit]
     while frontier:
         e = frontier.pop()
-        for g in gens:
-            prod = pf_ring_multiply(e, g)
-            if span.absorb(vec(prod)):
+        for m in maps:
+            prod = _times_plus_one(e, m)
+            if span.absorb(prod):
                 frontier.append(prod)
                 if len(span) == target:
                     return True

@@ -11,6 +11,7 @@ from lieclass.algebras import (
     normalizer_dim,
     representation,
     summand_scalars,
+    _kron,
 )
 from lieclass.errors import BadParameter, TooLarge, UnrecognizedShape
 from lieclass.oracle import is_spherical_module
@@ -220,6 +221,37 @@ def test_tensor_of_a_factor_with_itself(dual):
     for x, image in zip(k.basis, rho):
         y = -x.T if dual == "d" else x
         assert np.array_equal(image, np.kron(x, one) + np.kron(one, y))
+
+
+@pytest.mark.parametrize("stack_side", ["left", "right"])
+@pytest.mark.parametrize("sides", ["nn", "nd", "dn", "dd"])
+def test_broadcast_kronecker_is_numpy_kron(stack_side, sides):
+    """_kron of a stack and a matrix equals np.kron of each stack element,
+    with the stack on either side, an identity of either size on the
+    other, and -x^T for a dual side."""
+    rng = np.random.default_rng(len(sides) + len(stack_side))
+    x = rng.integers(-9, 10, size=(5, 3, 3))
+    x = -x.transpose(0, 2, 1) if sides[0] == "d" else x
+    y = rng.integers(-9, 10, size=(4, 4))
+    y = -y.T if sides[1] == "d" else y
+    for other in (y, np.eye(4, dtype=np.int64), np.eye(3, dtype=np.int64)):
+        got = _kron(x, other) if stack_side == "left" else _kron(other, x)
+        want = [np.kron(a, other) if stack_side == "left" else np.kron(other, a) for a in x]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("sides", ["nn", "nd", "dn", "dd"])
+def test_tensor_summand_is_numpy_kron(sides):
+    """The tensor summand of two factors acts as x (x) 1 and 1 (x) y, with
+    -x^T on a dual side, as np.kron builds them."""
+    k, h = make_algebra("sl", 2), make_algebra("sp", 4)
+    spec = ModuleSpec([("tensor", (0, sides[0]), (1, sides[1]))])
+    rho = representation([k, h], spec).basis
+    side = lambda x, c: -x.T if c == "d" else x  # noqa: E731
+    want = [np.kron(side(x, sides[0]), np.eye(4, dtype=np.int64)) for x in k.basis]
+    want += [np.kron(np.eye(2, dtype=np.int64), side(y, sides[1])) for y in h.basis]
+    assert np.array_equal(rho, np.array(want))
 
 
 class TestSizeBound:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieclass import linalg
+from lieclass import cli, linalg
 from lieclass.algebras import (
     ModuleSpec,
+    _annihilator,
     make_algebra,
     normalizer_dim,
     representation,
@@ -55,6 +56,15 @@ def assert_matches_reference(mats, n):
     dim = normalizer_dim(mats, (), n)
     assert dim == n * n - rank_exact(rows)
     assert dim.span_dim == rank_exact([linalg.flatten(m) for m in mats])
+
+
+def assert_annihilator_is_nullspace(mats, n):
+    """The annihilator read off the echelon form is linalg.nullspace of the
+    same rows, vector for vector, as one int64 array."""
+    s = np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+    ann = _annihilator(s)
+    assert ann.dtype == np.int64 and ann.shape[1:] == (n * n,)
+    assert ann.tolist() == linalg.nullspace(s.reshape(len(s), n * n).tolist(), n * n)
 
 
 # Modules of dimension <= 6 whose bases the generators are drawn from.
@@ -131,6 +141,7 @@ class TestAgainstReferenceRows:
     def test_random_generator_subsets(self, case):
         mats, n = case
         assert_matches_reference(mats, n)
+        assert_annihilator_is_nullspace(mats, n)
 
     # the module cases of the exact_span benchmark workload
     TABLE_CASES = [
@@ -168,6 +179,7 @@ class TestAgainstReferenceRows:
         is_spherical_module_by_table(algs, ModuleSpec(summands))
         (mats, n), = seen
         assert_matches_reference(mats, n)
+        assert_annihilator_is_nullspace(mats, n)
 
     def test_normalizer_larger_than_the_span(self):
         """so_5 plus the identity on two copies of C^5: the normalizer adds
@@ -184,11 +196,13 @@ class TestAgainstReferenceRows:
         assert normalizer_dim([], (), 3) == 9
         assert normalizer_dim([], (), 3).span_dim == 0
         assert_matches_reference([], 3)
+        assert_annihilator_is_nullspace([], 3)
 
     def test_whole_of_gl(self):
         mats = make_algebra("gl", 3).basis.tolist()
         assert normalizer_dim(mats) == normalizer_dim(mats).span_dim == 9
         assert_matches_reference(mats, 3)
+        assert_annihilator_is_nullspace(mats, 3)
 
     def test_no_diagonal_generator(self):
         """span(E12) has no diagonal generator, so every entry of x is an
@@ -196,6 +210,7 @@ class TestAgainstReferenceRows:
         e12 = [[0, 1], [0, 0]]
         assert normalizer_dim([e12]) == 3
         assert_matches_reference([e12], 2)
+        assert_annihilator_is_nullspace([e12], 2)
 
     def test_dependent_and_repeated_generators(self):
         n, pool = POOLS[7]  # sl_3 on C^3 + its dual, scalars, identity
@@ -204,7 +219,118 @@ class TestAgainstReferenceRows:
         sums = pool + [both]
         for mats in (twice, sums, [pool[0]] * 4):
             assert_matches_reference(mats, n)
+            assert_annihilator_is_nullspace(mats, n)
         assert normalizer_dim(twice) == normalizer_dim(pool)
+
+
+# the table questions at the size cap (CI runs each under a time bound)
+SIZE_CAP_QUESTIONS = [
+    "sl(8) on wedge2",
+    "sl(4)+sl(8) on C4xC8",
+    "so(32) on C32",
+    "sp(32) on C32",
+    "sl(16)+sl(2) on C16xC2",
+]
+
+
+@pytest.mark.parametrize("question", SIZE_CAP_QUESTIONS)
+def test_size_cap_annihilators_are_the_nullspace(question, monkeypatch, capsys):
+    import lieclass.sphericaltable as table
+
+    seen = []
+
+    def record(k_basis, extra_center=(), n=None):
+        seen.append(([*k_basis, *extra_center], n))
+        return normalizer_dim(k_basis, extra_center, n)
+
+    monkeypatch.setattr(table, "normalizer_dim", record)
+    assert cli.run(["table", "--k", question]) == 0
+    assert "spherical: yes" in capsys.readouterr().out
+    (mats, n), = seen
+    assert_annihilator_is_nullspace(mats, n)
+
+
+class TestAnnihilatorBound:
+    """The entries den * red[r][f] / p_r are formed in int64 only when
+    den * max|red| < 2^63; otherwise linalg.nullspace forms the vectors,
+    and only they must fit in int64."""
+
+    @staticmethod
+    def nullspace_calls(monkeypatch):
+        calls = []
+        nullspace = linalg.nullspace
+
+        def spy(rows, ncols=None):
+            calls.append(None)
+            return nullspace(rows, ncols)
+
+        monkeypatch.setattr(linalg, "nullspace", spy)
+        return calls
+
+    def test_just_below_the_bound(self, monkeypatch):
+        # one pivot row (2, 0, 0, 2^62 - 1): den * max|red| = 2^63 - 2
+        mats = np.array([[[2, 0], [0, 2**62 - 1]]], dtype=np.int64)
+        calls = self.nullspace_calls(monkeypatch)
+        ann = _annihilator(mats)
+        assert calls == []
+        assert ann.tolist() == linalg.nullspace([[2, 0, 0, 2**62 - 1]], 4)
+
+    @pytest.mark.parametrize(
+        "mats",
+        [
+            # one pivot row (2, 0, 0, 2^62 + 1): den * max|red| = 2^63 + 2
+            [[[2, 0], [0, 2**62 + 1]]],
+            # coprime pivots: den = p q is about 2^62, and so is max|ann|
+            [[[2147483629, 0], [0, 1]], [[0, 2147483587], [0, 1]]],
+        ],
+    )
+    def test_at_the_bound_the_nullspace_forms_the_vectors(self, mats, monkeypatch):
+        calls = self.nullspace_calls(monkeypatch)
+        assert_annihilator_is_nullspace(mats, 2)
+        # once inside _annihilator, once in the comparison
+        assert len(calls) == 2
+
+    @staticmethod
+    def prime_pivot_span(primes, entries):
+        """The i-th generator has primes[i] at entries[2 i] and 1 at the
+        later entries[2 i + 1] of a 7 x 7 matrix: den is the product of the
+        primes, and every annihilator vector is a unit vector or (-1, p_i)."""
+        mats = []
+        for i, p in enumerate(primes):
+            m = [0] * 49
+            m[entries[2 * i]], m[entries[2 * i + 1]] = p, 1
+            mats.append([m[r * 7 : r * 7 + 7] for r in range(7)])
+        return mats
+
+    def test_sixteen_prime_pivots(self, monkeypatch):
+        """The primes 2..53 at distinct off-diagonal entries of gl_7: den is
+        about 3.3e19 > 2^63.  The span is not a subalgebra, so the
+        normalizer's rank bound fails (CapExceeded), not the annihilator."""
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+        mats = self.prime_pivot_span(primes, [k for k in range(49) if k % 8])
+        calls = self.nullspace_calls(monkeypatch)
+        assert_annihilator_is_nullspace(mats, 7)
+        assert len(calls) == 2
+        with pytest.raises(CapExceeded):
+            normalizer_dim(mats)
+
+    def test_prime_pivots_in_an_abelian_span(self, monkeypatch):
+        """Five primes near 2^13 in the block of rows 0..2 and columns 3..6,
+        where every bracket vanishes: den is about 3.7e19 > 2^63, and the
+        normalizer is the reference's."""
+        primes = [8191, 8209, 8219, 8221, 8231]
+        mats = self.prime_pivot_span(primes, [r * 7 + c for r in range(3) for c in range(3, 7)])
+        calls = self.nullspace_calls(monkeypatch)
+        assert_matches_reference(mats, 7)
+        assert len(calls) == 2  # inside normalizer_dim and in reference_rows
+        assert_annihilator_is_nullspace(mats, 7)
+
+    def test_vectors_beyond_int64_raise(self):
+        # coprime pivots above 2^32: the vector (-q, -p, 0, p q) overflows
+        p, q = 4294967311, 4294967291
+        mats = np.array([[[p, 0], [0, 1]], [[0, q], [0, 1]]], dtype=np.int64)
+        with pytest.raises(TooLarge):
+            _annihilator(mats)
 
 
 def test_int64_overflow_raises():

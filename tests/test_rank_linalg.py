@@ -66,6 +66,53 @@ class TestRank:
         with pytest.raises(CapExceeded):
             rank_capped([[MOD_PRIME, 0], [0, MOD_PRIME]], 1)
 
+    def test_capped_int64_array_at_the_cap_needs_no_bareiss(self, monkeypatch):
+        from lieclass import rank
+
+        calls = []
+        monkeypatch.setattr(rank, "rank_exact", lambda rows: calls.append(rows))
+        a = np.array([[1, 2, 3], [0, 1, 2**40], [0, 0, 5], [1, 3, 8]], dtype=np.int64)
+        assert rank_capped(a, 3) == 3
+        assert calls == []
+
+    def test_capped_int64_array_below_the_cap_runs_bareiss(self, monkeypatch):
+        from lieclass import rank
+
+        calls = []
+
+        def spy(rows):
+            calls.append(rows)
+            return rank_exact(rows)
+
+        monkeypatch.setattr(rank, "rank_exact", spy)
+        # rank 1 over Q; the second row is 2^40 times the first
+        a = np.array([[3, -7, 0], [3 * 2**40, -7 * 2**40, 0]], dtype=np.int64)
+        assert rank_capped(a, 2) == 1
+        # Bareiss reads the entries as Python ints
+        assert calls == [a.tolist()] and type(calls[0][1][0]) is int
+        # the mod-p rank 0 of multiples of p is raised to the exact rank
+        p = np.array([[MOD_PRIME, 0], [0, MOD_PRIME]], dtype=np.int64)
+        assert rank_capped(p, 2) == 2
+
+    def test_capped_int64_array_above_the_cap_raises(self):
+        with pytest.raises(CapExceeded):
+            rank_capped(np.eye(4, dtype=np.int64), 2)
+        with pytest.raises(CapExceeded):
+            rank_capped(np.array([[MOD_PRIME, 0], [0, MOD_PRIME]], dtype=np.int64), 1)
+
+    @pytest.mark.parametrize(
+        "rows", [[[2**64, 1], [0, 1]], [[-(2**63) - 1, 1], [0, 1]], [[2**63, 0], [0, 1]]]
+    )
+    def test_capped_list_beyond_int64_raises(self, rows):
+        # np.asarray makes these an object or a float64 array
+        assert np.asarray(rows).dtype.kind in "Of"
+        with pytest.raises(TypeError):
+            rank_capped(rows, 2)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)])
+    def test_capped_empty_array_has_rank_zero(self, shape):
+        assert rank_capped(np.zeros(shape, dtype=np.int64), 4) == 0
+
     @pytest.mark.parametrize(
         "rows",
         [

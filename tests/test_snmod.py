@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -172,20 +173,45 @@ class TestGroupAlgebra:
     def test_span_multiplication_counts(self, monkeypatch):
         """Every accepted product joins the frontier, so the number of
         products formed before the span reaches n! pins the sequence of
-        accept/reject decisions of the incremental elimination."""
-        from lieclass import snmod
+        accept/reject decisions of the incremental elimination.  Each
+        product is absorbed once, after the unit: products = absorbs - 1."""
+        from lieclass import linalg
 
         calls = []
+        absorb = linalg.Echelon.absorb
 
-        def counting(a, b):
+        def counting(self, row):
             calls.append(None)
-            return pf_ring_multiply(a, b)
+            return absorb(self, row)
 
-        monkeypatch.setattr(snmod, "pf_ring_multiply", counting)
+        monkeypatch.setattr(linalg.Echelon, "absorb", counting)
         for n, count in ((2, 1), (3, 10), (4, 69), (5, 476)):
             calls.clear()
             assert pf_generators_span(n)
-            assert len(calls) == count, n
+            assert len(calls) - 1 == count, n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_index_map_product_is_the_ring_product(self, n):
+        """e (s_i + 1) by the index map equals pf_ring_multiply on random
+        elements of Z[S_n]."""
+        from lieclass.snmod import _plus_one_maps, _times_plus_one
+
+        rng = random.Random(n)
+        perms, maps = _plus_one_maps(n)
+        assert perms[0] == tuple(range(n))
+        for _ in range(20):
+            e = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in perms]
+            elem = GroupAlgebraElement(n, dict(zip(perms, e)))
+            for i, m in enumerate(maps, start=1):
+                g = GroupAlgebraElement.transposition_plus_one(n, i)
+                prod = pf_ring_multiply(elem, g)
+                assert _times_plus_one(e, m) == [prod.coeffs.get(p, 0) for p in perms]
+
+    def test_negative_n_is_a_bad_parameter(self):
+        for n in (-1, -5):
+            with pytest.raises(BadParameter):
+                pf_generators_span(n)
+        assert pf_generators_span(0) and pf_generators_span(1)
 
     def test_span_cap(self):
         with pytest.raises(TooLarge):
