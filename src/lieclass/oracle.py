@@ -9,18 +9,11 @@ undercount, so reaching the dimension mod p certifies a Yes outright.
 
 Every ProbablyNo reports the exact rank r at its best sample.  The columns
 of the constraint matrix are the m Borel basis elements, and its kernel
-over Q is the stabilizer algebra b_x of the point, so r = m - dim b_x.  The
-proof is a stabilizer certificate: the mod-p kernel of the best sample's
-echelon form (kept from the scan) has m - r_p vectors, each 1 at its own
-free column and 0 at the others; each is lifted to a primitive integer
-vector v by rational reconstruction and checked against the sample's exact
-rows: rows . v = 0 over Z says that v lies in b_x (for a flag, the chart
-entries of g^-1 Y g vanish, Y = sum v_b y_b; for a module, Y . w = 0).
-When every lift passes, r = r_p: r >= r_p always, and the lifts are
-independent, each reducing to a unit multiple of its mod-p vector (every
-denominator is below p), so r <= m - (m - r_p).  When a kernel entry does
-not reconstruct from one prime, or a lift fails its check, the same exact
-rows are ranked by Bareiss elimination, which may still find a Yes.
+over Q is the stabilizer algebra b_x of the point, so r = m - dim b_x.
+Either the sample's mod-p rank reached R, the highest rank any point can
+reach (below), or the scan ended without reaching it and the best
+sample's rows are formed over Z and ranked by fraction-free Bareiss
+elimination, which may still find a Yes.
 
 Points on a flag variety G/P are sampled in its big cell N^-_P . P/P, the
 open affine chart given by the Bruhat decomposition: g = L is unit lower
@@ -41,8 +34,8 @@ linalg.nullspace, exactly, and cached by the basis' contents; it is
 computed only when the first sample is not a Yes.  The scan stops as
 soon as a sample's mod-p rank r_p reaches R: then r_p is the exact rank,
 an early stop is a certain No, and the samples left are not ranked (nor,
-on flags, drawn).  Only a scan that ends without a stop lifts a mod-p
-kernel, once, for its best sample.
+on flags, drawn).  Only a scan that ends without a stop runs Bareiss,
+once, on its best sample.
 
 The flag entry points draw a sample's points, one per flag, when the scan
 first asks about that sample.  The scan visits the samples in order and
@@ -62,13 +55,12 @@ the exact rows.  A Yes or an early stop at the first sample pays for that
 sample's residues alone (and R, for a stop, unless cached).  Exact
 integers appear in three places only: R's nullspace, the point g, g^-1
 of a Yes certificate, formed from L when read, and the exact rows of the
-best sample of a scan that does not stop early, which the lifts are
-checked against and Bareiss ranks, read as Python ints (.tolist()), when
-that check fails.  The module oracle draws all its points at once and
-forms its rows as one int64 product, exact since every partial sum stays
-below 2^63, then reduces them mod p.  A call whose int64 residues, summed
-over its samples, would pass MAX_CELLS is refused with TooLarge before
-anything is drawn.
+best sample of a scan that does not stop early, which Bareiss ranks,
+read as Python ints (.tolist()).  The module oracle draws all its points
+at once and forms its rows as one int64 product, exact since every
+partial sum stays below 2^63, then reduces them mod p.  A call whose
+int64 residues, summed over its samples, would pass MAX_CELLS is refused
+with TooLarge before anything is drawn.
 """
 
 from __future__ import annotations
@@ -92,7 +84,7 @@ from .errors import (
     TooLarge,
 )
 from .partitions import FlagType
-from .rank import MOD_PRIME, kernel_modp, lift_vector, rank_exact, rank_modp
+from .rank import MOD_PRIME, rank_exact, rank_modp
 
 COEFF_BOX = 10_000
 DEFAULT_SAMPLES = 5
@@ -261,8 +253,7 @@ def borel_orbit_dim_at(b, x: FlagPoint):
 def _scan(target, residues, exact_rows, certificate, max_rank, samples, seed):
     """Shared max-rank loop: modular rank per sample, Yes on certification,
     a certain No when a rank reaches R, otherwise the exact rank at the
-    best sample, proved by a stabilizer certificate or, failing that, by
-    Bareiss.
+    best sample by Bareiss.
 
     residues(i) is the constraint matrix of sample i mod p, one column per
     Borel basis element, exact_rows(i) the same matrix over Z as an object
@@ -274,28 +265,16 @@ def _scan(target, residues, exact_rows, certificate, max_rank, samples, seed):
     Yes, so a Yes at the first sample never computes it.
 
     Early stop: a sample whose mod-p rank r_p equals R ends the scan with
-    ProbablyNo(r_p), without ranking the rest.  Its verdicts are those of
-    the full scan, and of the lift rule, which stops at a new best sample
-    whose lifted kernel vectors all act trivially:
-
-    - Every point's kernel contains the trivially acting v, so no rank
-      exceeds R, and r_p = R is the exact rank.
-    - The lift rule needs m - r_p independent lifts that all act
-      trivially, so m - r_p <= m - R, hence r_p = R: both rules stop at
-      the same sample.
-    - A sample with r_p = R that the lift rule passes over (a kernel
-      entry did not reconstruct) cannot be beaten later, since ties never
-      replace the best; that scan ends with the same exact rank, through
-      its certificate or Bareiss.
-    - A Yes is still checked first.
-
-    A scan that ends without a stop lifts the mod-p kernel of its best
-    sample, once, for the stabilizer certificate."""
-    best_rank, best_index, best_echelon = -1, -1, None
+    ProbablyNo(r_p), without ranking the rest.  Every point's kernel
+    contains the trivially acting v, so no point ranks above R: r_p = R is
+    the exact rank, and since it is below the target (a Yes is checked
+    first), no later sample can be a Yes or rank higher.  Otherwise every
+    mod-p rank stays below R, and Bareiss ranks the exact rows of the best
+    sample (the first to reach the highest mod-p rank), once: a rank it
+    finds at the target is still a Yes, carrying that sample's point."""
+    best_rank, best_index = -1, -1
     for idx in range(samples):
-        res = residues(idx)
-        echelon = np.empty(res.shape, dtype=np.int64)
-        rp = rank_modp(res, out=echelon)
+        rp = rank_modp(residues(idx))
         if rp >= target:
             return OracleVerdict(
                 "Yes", target, target, samples, seed, certificate(idx)
@@ -305,11 +284,8 @@ def _scan(target, residues, exact_rows, certificate, max_rank, samples, seed):
         if rp == bound:
             return OracleVerdict("ProbablyNo", rp, target, samples, seed)
         if rp > best_rank:
-            best_rank, best_index, best_echelon = rp, idx, echelon
-    rows = exact_rows(best_index)
-    if _stabilizer_certified(_lift_kernel(best_echelon, best_rank), rows):
-        return OracleVerdict("ProbablyNo", best_rank, target, samples, seed)
-    exact = rank_exact(rows.tolist())
+            best_rank, best_index = rp, idx
+    exact = rank_exact(exact_rows(best_index).tolist())
     if exact >= target:
         return OracleVerdict(
             "Yes", target, target, samples, seed, certificate(best_index)
@@ -344,34 +320,6 @@ def _max_rank_of(shape, idx, vals, scalars_act_trivially):
     rows = cols.T
     rows = rows[rows.any(axis=1)]
     return m - len(linalg.nullspace(rows.tolist(), len(cols)))
-
-
-def _lift_kernel(echelon, rank):
-    """The mod-p kernel of an echelon form of the given rank, each vector
-    lifted (lift_vector) to an integer vector, or None when one does not
-    reconstruct."""
-    lifts = []
-    for v in kernel_modp(echelon, rank=rank):
-        w = lift_vector(v)
-        if w is None:
-            return None
-        lifts.append(w)
-    return lifts
-
-
-def _stabilizer_certified(lifts, rows):
-    """Whether the mod-p rank the lifts came from is the exact rank of the
-    integer rows: every lift exists and rows . v = 0 over Z.
-
-    The rank over Q is never below the rank mod p, and k exact kernel
-    vectors bound it by m - k from above once they are independent.  They
-    are: each lift reduces to a unit multiple of its mod-p vector, which
-    is 1 at its own free column and 0 at the others.  The scan asks only
-    when no sample reached R <= m, so r_p < m and a list of lifts is
-    never empty."""
-    return lifts is not None and not np.count_nonzero(
-        np.dot(rows, np.array(lifts, dtype=object).T)
-    )
 
 
 def _flag_verdict(n, k, flags, samples, seed, box):

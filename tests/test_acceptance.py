@@ -183,7 +183,7 @@ class TestCriterion2OracleFacts:
 
 
 # ---------------------------------------------------------------------------
-# 3. product-flag list equals the oracle verdict for all pairs, n <= 6
+# 3. product-flag list equals the oracle verdict for all pairs, n <= 8
 
 
 def step_multisets(n):
@@ -191,7 +191,7 @@ def step_multisets(n):
 
 
 def test_criterion_3_product_list_vs_oracle():
-    for n in range(2, 7):
+    for n in range(2, 9):
         ms = step_multisets(n)
         for a, b in itertools.combinations_with_replacement(ms, 2):
             c = product_flag_complexity(

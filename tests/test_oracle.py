@@ -596,23 +596,27 @@ class TestCertificates:
         assert yes > 10 and no > 10
 
 
-class TestStabilizerCertificate:
-    """A ProbablyNo rank proved by lifted stabilizer vectors is the exact
-    rank of the best sample's rows; anything the exact check rejects falls
-    back to Bareiss with the same rank."""
+class TestExactRank:
+    """A ProbablyNo rank is the exact rank of one sample's rows: the sample
+    that reached R, or the best sample of a scan without a stop, whose
+    rows Bareiss ranks once."""
 
     @staticmethod
     def _record(monkeypatch):
         """Spy on the scan: per call, the exact-row callback, the samples
-        ranked, the samples whose exact rows were formed, the index of the
-        certified sample and whether its certificate held.  A scan that
-        ends in ProbablyNo without forming exact rows stopped early, its
-        lifts acting trivially at the newest sample, so that is the index
-        of a stop."""
-        calls, scan, certified = [], oracle._scan, oracle._stabilizer_certified
+        ranked, the samples whose exact rows were formed, those rows, and
+        the rows Bareiss ranked.  A scan that ends in ProbablyNo without
+        forming exact rows stopped early at its newest sample."""
+        calls, scan, exact = [], oracle._scan, oracle.rank_exact
 
         def scan_spy(target, residues, exact_rows, *rest):
-            call = {"exact_rows": exact_rows, "ranked": [], "formed": []}
+            call = {
+                "exact_rows": exact_rows,
+                "ranked": [],
+                "formed": [],
+                "rows": [],
+                "bareiss": [],
+            }
             calls.append(call)
 
             def ranked(i):
@@ -621,31 +625,30 @@ class TestStabilizerCertificate:
 
             def formed(i):
                 call["formed"].append(i)
-                return exact_rows(i)
+                call["rows"].append(exact_rows(i))
+                return call["rows"][-1]
 
-            v = scan(target, ranked, formed, *rest)
-            if v.kind == "ProbablyNo" and not call["formed"]:
-                call.update(index=call["ranked"][-1], certified=True)
-            return v
+            return scan(target, ranked, formed, *rest)
 
-        def certified_spy(lifts, rows):
-            ok = certified(lifts, rows)
-            calls[-1].update(index=calls[-1]["formed"][-1], certified=ok)
-            return ok
+        def exact_spy(rows):
+            calls[-1]["bareiss"].append(rows)
+            return exact(rows)
 
         monkeypatch.setattr(oracle, "_scan", scan_spy)
-        monkeypatch.setattr(oracle, "_stabilizer_certified", certified_spy)
+        monkeypatch.setattr(oracle, "rank_exact", exact_spy)
         return calls
 
     @staticmethod
     def _check(calls, verdicts):
         proved = early = 0
         for call, v in zip(calls, verdicts, strict=True):
-            # a scan forms exact rows once at most, for its best sample
+            # a scan forms exact rows once at most, for its best sample,
+            # and Bareiss ranks exactly those rows
             assert len(call["formed"]) <= 1
-            if call.get("certified"):
-                assert v.kind == "ProbablyNo"
-                rows = call["exact_rows"](call["index"]).tolist()
+            assert call["bareiss"] == [r.tolist() for r in call["rows"]]
+            if v.kind == "ProbablyNo":
+                index = (call["formed"] or call["ranked"])[-1]
+                rows = call["exact_rows"](index).tolist()
                 assert v.rank == rank_exact(rows)
                 proved += 1
                 early += len(call["ranked"]) < v.samples
@@ -762,66 +765,34 @@ class TestStabilizerCertificate:
         v = is_spherical_flag(make_algebra("sl", 8), full, samples=1000)
         assert v.kind == "Yes" and drawn == [full]
 
-    def test_forged_lift_is_rejected_and_bareiss_decides(self, monkeypatch):
-        # sl(3)+so(3) on C^6 at Gr(2, 6), a criterion-1 datum: every sample
-        # ranks below R, so the scan ends without a stop and lifts the
-        # best sample's kernel (dimension 2), which the honest lifts prove
-        d = ClassificationDatum((2,), [("sl", 3), ("so", 3)], 0)
-        k = datum_algebra(d)
-
-        def verdict():
-            return is_spherical_flag(k, d.flag, seed=2)
-
-        honest = verdict()
-        assert (honest.kind, honest.rank, honest.target) == ("ProbablyNo", 7, 8)
-        lift, honest_lifts, exact_calls = oracle.lift_vector, [], []
-
-        def forged(v):
-            w = lift(v)
-            honest_lifts.append(w)
-            return None if w is None else [x + 1 for x in w]
-
-        def counted(rows):
-            exact_calls.append(rows)
-            return rank_exact(rows)
-
-        certified, checks = oracle._stabilizer_certified, []
-
-        def checked(lifts, rows):
-            ok = certified(lifts, rows)
-            checks.append((ok, certified(honest_lifts, rows), rows.tolist()))
-            return ok
-
-        monkeypatch.setattr(oracle, "lift_vector", forged)
-        monkeypatch.setattr(oracle, "rank_exact", counted)
-        monkeypatch.setattr(oracle, "_stabilizer_certified", checked)
-        v = verdict()
-        # at the end of the scan the best sample's rows reject the forged
-        # lifts and pass the honest ones, and Bareiss ranks the same 8 rows
-        assert [c[:2] for c in checks] == [(False, True)] and len(honest_lifts) == 2
-        assert exact_calls == [checks[0][2]] and len(exact_calls[0]) == 8
-        assert (v.kind, v.rank, v.target) == (honest.kind, honest.rank, honest.target)
-
     @pytest.mark.parametrize("cases", ["_pair_cases", "_criterion_cases"])
-    def test_a_scan_lifts_one_kernel_and_only_without_a_stop(
-        self, monkeypatch, cases
-    ):
-        calls, kernel = self._record(monkeypatch), oracle.kernel_modp
-
-        def kernel_spy(a, rank=None):
-            calls[-1]["kernels"] = calls[-1].get("kernels", 0) + 1
-            return kernel(a, rank=rank)
-
-        monkeypatch.setattr(oracle, "kernel_modp", kernel_spy)
+    def test_bareiss_runs_once_and_only_without_a_stop(self, monkeypatch, cases):
+        calls = self._record(monkeypatch)
         stops = ends = 0
         for n, k, flags in getattr(self, cases)():
             v = oracle._flag_verdict(n, k, flags, 5, 3, COEFF_BOX)
             call = calls[-1]
-            # a scan that forms exact rows ended without a stop or a Yes
-            assert call.get("kernels", 0) == len(call["formed"]) <= 1
+            # Bareiss runs exactly when exact rows were formed, on them
+            assert len(call["bareiss"]) == len(call["formed"]) <= 1
+            assert call["bareiss"] == [r.tolist() for r in call["rows"]]
             stops += v.kind == "ProbablyNo" and not call["formed"]
             ends += bool(call["formed"])
         assert stops > 100 and ends > 10
+
+    def test_bareiss_turns_a_scan_without_a_stop_into_a_yes(self, monkeypatch):
+        # the full flag of C^8 is spherical for sl(8) at its first sample;
+        # one mod-p rank short, every sample ranks below both the target
+        # 28 and R = 35, so the scan ends without a stop and Bareiss finds
+        # the Yes at the first best sample (ties never replace it)
+        calls = self._record(monkeypatch)
+        monkeypatch.setattr(oracle, "rank_modp", lambda a: rank_modp(a) - 1)
+        full = FlagType(tuple(range(1, 8)), 8)
+        v = is_spherical_flag(make_algebra("sl", 8), full)
+        assert (v.kind, v.rank, v.target) == ("Yes", 28, 28)
+        first = sample_flag_point(full, np.random.default_rng(0))
+        assert v.certificate.g == first.g
+        assert calls[-1]["ranked"] == list(range(5))
+        assert calls[-1]["formed"] == [0] and len(calls[-1]["bareiss"]) == 1
 
     def test_module_with_empty_kernel_needs_no_bareiss(self, monkeypatch):
         def refuse(rows):
@@ -832,25 +803,12 @@ class TestStabilizerCertificate:
         v = is_spherical_module([make_algebra(*f) for f in factors], spec)
         assert (v.kind, v.rank, v.target) == ("ProbablyNo", 7, 10)
 
-    def test_module_with_large_kernel_falls_back_to_bareiss(self, monkeypatch):
-        exact_calls, kernels = [], []
-        kernel = oracle.kernel_modp
-
-        def counted(rows):
-            exact_calls.append(len(rows))
-            return rank_exact(rows)
-
-        def kernel_spy(a, rank=None):
-            out = kernel(a, rank=rank)
-            kernels.append(len(out))
-            return out
-
-        monkeypatch.setattr(oracle, "rank_exact", counted)
-        monkeypatch.setattr(oracle, "kernel_modp", kernel_spy)
+    def test_module_without_a_stop_is_ranked_by_bareiss_once(self, monkeypatch):
+        calls = self._record(monkeypatch)
         factors, spec = parse_algebra_module("sl(10) on C10+C10+C10")
         v = is_spherical_module([make_algebra(*f) for f in factors], spec)
         assert (v.kind, v.rank, v.target) == ("ProbablyNo", 27, 30)
-        assert kernels == [28] and len(exact_calls) == 1
+        assert len(calls[-1]["bareiss"]) == 1
 
 
 class TestMaxRank:
