@@ -68,9 +68,10 @@ def rank_modp(a, p=MOD_PRIME):
 
     Always a lower bound for the rank over Q of the integer matrix the
     input reduces.  The input is not modified; the elimination runs on a
-    copy of its residues.  Entries of a non-integer dtype (floats,
-    Fractions in an object array) raise TypeError; empty input of any
-    dtype has rank 0.
+    copy of its residues.  A uint64 array is reduced before the cast to
+    int64, which would wrap its entries of 2^63 and up.  Entries of a
+    non-integer dtype (floats, Fractions in an object array) raise
+    TypeError; empty input of any dtype has rank 0.
     """
     a = np.asarray(a)
     if a.size and not np.issubdtype(a.dtype, np.integer):
@@ -78,6 +79,8 @@ def rank_modp(a, p=MOD_PRIME):
     a = np.atleast_2d(a)
     if not a.size:
         a = np.zeros(a.shape, dtype=np.int64)
+    elif a.dtype == np.uint64:
+        a = a % np.uint64(p)
     return _eliminate(np.remainder(a.astype(np.int64, copy=False), p), p)
 
 

@@ -803,12 +803,56 @@ class TestExactRank:
         v = is_spherical_module([make_algebra(*f) for f in factors], spec)
         assert (v.kind, v.rank, v.target) == ("ProbablyNo", 7, 10)
 
-    def test_module_without_a_stop_is_ranked_by_bareiss_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "text, rank, target",
+        [
+            ("sl(10) on C10+C10+C10", 27, 30),
+            ("so(16) on C16+C16", 29, 32),
+            ("sp(16) on C16+C16", 31, 32),
+        ],
+    )
+    def test_module_without_a_stop_is_ranked_by_bareiss_once(
+        self, monkeypatch, text, rank, target
+    ):
         calls = self._record(monkeypatch)
-        factors, spec = parse_algebra_module("sl(10) on C10+C10+C10")
+        factors, spec = parse_algebra_module(text)
         v = is_spherical_module([make_algebra(*f) for f in factors], spec)
-        assert (v.kind, v.rank, v.target) == ("ProbablyNo", 27, 30)
+        assert (v.kind, v.rank, v.target) == ("ProbablyNo", rank, target)
+        assert len(calls[-1]["ranked"]) == v.samples
         assert len(calls[-1]["bareiss"]) == 1
+        assert self._check(calls, [v]) == (1, 0)
+
+    def test_bareiss_raises_a_short_modular_rank_to_the_exact_rank(self, monkeypatch):
+        # so(5) on C5+C5 stops at its first sample, whose mod-p rank is
+        # R = 7; one mod-p rank short, no sample reaches R, so the scan ends
+        # without a stop and Bareiss ranks the first best sample's rows at 7
+        factors, spec = parse_algebra_module("so(5) on C5+C5")
+        ks = [make_algebra(*f) for f in factors]
+        calls = self._record(monkeypatch)
+        stopped = is_spherical_module(ks, spec)
+        assert calls[-1]["ranked"] == [0] and calls[-1]["bareiss"] == []
+        monkeypatch.setattr(oracle, "rank_modp", lambda a: rank_modp(a) - 1)
+        v = is_spherical_module(ks, spec)
+        assert (v.kind, v.rank, v.target) == ("ProbablyNo", 7, 10)
+        assert (stopped.kind, stopped.rank, stopped.target) == ("ProbablyNo", 7, 10)
+        assert calls[-1]["ranked"] == list(range(5))
+        assert calls[-1]["formed"] == [0] and len(calls[-1]["bareiss"]) == 1
+
+    def test_bareiss_turns_a_module_scan_without_a_stop_into_a_yes(self, monkeypatch):
+        # sl(4) on C4+C4* is spherical at its first sample; one mod-p rank
+        # short, no sample reaches the target 8, and Bareiss finds the Yes
+        # at the first best sample, whose point the first Yes carried
+        factors, spec = parse_algebra_module("sl(4) on C4+C4*")
+        ks = [make_algebra(*f) for f in factors]
+        calls = self._record(monkeypatch)
+        first = is_spherical_module(ks, spec)
+        assert first.kind == "Yes" and calls[-1]["ranked"] == [0]
+        monkeypatch.setattr(oracle, "rank_modp", lambda a: rank_modp(a) - 1)
+        v = is_spherical_module(ks, spec)
+        assert (v.kind, v.rank, v.target) == ("Yes", 8, 8)
+        assert v.certificate == first.certificate
+        assert calls[-1]["ranked"] == list(range(5))
+        assert calls[-1]["formed"] == [0] and len(calls[-1]["bareiss"]) == 1
 
 
 class TestMaxRank:

@@ -201,6 +201,38 @@ class TestModpKernel:
         rank_modp(a)
         assert np.array_equal(a, before)
 
+    @pytest.mark.parametrize(
+        "dtype, lo, hi",
+        [(np.int64, -(2**63), 2**63 - 1), (np.uint64, 0, 2**64 - 1)],
+        ids=["int64", "uint64"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_every_entry_of_the_dtype_is_reduced(self, dtype, lo, hi, data):
+        # entries over the whole dtype, with small ones and multiples of p
+        # (zero mod p) mixed in so that ranks fall short
+        ks = (-2, -1, 1, 2, lo // MOD_PRIME + 1, hi // MOD_PRIME)
+        multiples = [k * MOD_PRIME for k in ks if k * MOD_PRIME >= lo]
+        entry = st.one_of(
+            st.integers(max(lo, -3), 3), st.integers(lo, hi), st.sampled_from(multiples)
+        )
+        rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        a = data.draw(
+            st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                     min_size=rows, max_size=rows)
+        )
+        arr = np.array(a, dtype=dtype).reshape(rows, cols)
+        assert rank_modp(arr) == _rank_modp_reference(a) <= rank_exact(a)
+
+    def test_uint64_entries_beyond_int64_keep_the_lower_bound(self):
+        # the second row is twice the first, so the rank over Q is 1; cast to
+        # int64 first, 2^63 would wrap to -2^63 and the determinant become
+        # -2^64, a unit mod p
+        a = np.array([[1, 2**62], [2, 2**63]], dtype=np.uint64)
+        assert rank_exact(a.tolist()) == 1
+        assert rank_modp(a) == 1
+        assert rank_capped(a, 1) == 1
+
 
 def _reference_rref(rows):
     """Gauss-Jordan over Q in Fractions, each pivot scaled to 1."""
