@@ -3,9 +3,10 @@
 A Borel orbit through a rational point has dimension equal to the rank of
 an integer constraint matrix, so sphericity of a flag variety or module is
 decided by sampling points and comparing the best rank against the variety
-dimension; by Schwartz-Zippel a point drawn from the coefficient box misses
-the generic rank only with small probability.  A rank mod p can only
-undercount, so reaching the dimension mod p certifies a Yes outright.
+dimension; by Schwartz-Zippel a point drawn from the box [-COEFF_BOX,
+COEFF_BOX] misses the generic rank only with small probability.  A rank
+mod p can only undercount, so reaching the dimension mod p certifies a Yes
+outright.
 
 Every ProbablyNo reports the exact rank r at its best sample.  The columns
 of the constraint matrix are the m Borel basis elements, and its kernel
@@ -18,20 +19,21 @@ elimination, which may still find a Yes.
 Points on a flag variety G/P are sampled in its big cell N^-_P . P/P, the
 open affine chart given by the Bruhat decomposition: g = L is unit lower
 triangular, zero inside the diagonal blocks cut by the flag's steps, with
-the entries below them drawn uniformly from the coefficient box; det g = 1
+the entries below them drawn uniformly from the box; det g = 1
 and g^-1 = L^-1 is again an integer matrix.  A factor U of the Borel would
 not change any rank (the rows at L U are the rows at L under the
 invertible Ad(U^-1) on g/p), so none is drawn.  For k blocks the entries
 of L^-1 have degree at most k - 1 in the drawn entries, an r x r minor of
 the constraint rows degree at most k r, and by Schwartz-Zippel one sample
-misses the generic rank with probability at most k r / (2 box + 1).
+misses the generic rank with probability at most k r / (2 COEFF_BOX + 1).
 
 No point ranks above R, the rank of the Borel action itself: m minus
 the dimension of the v whose Y = sum v_b y_b acts trivially at every
 point (Y scalar on the flags, Y = 0 on the module), since every such v
-lies in every point's stabilizer.  R is taken once per Borel basis from
-linalg.nullspace, exactly, and cached by the basis' contents; it is
-computed only when the first sample is not a Yes.  The scan stops as
+lies in every point's stabilizer: R = rank(y_1, ..., y_m, I) - 1 on the
+flags and rank(y_1, ..., y_m) on the module, counted once per Borel basis
+from an exact echelon form (linalg.rref), cached by the basis' contents,
+and computed only when the first sample is not a Yes.  The scan stops as
 soon as a sample's mod-p rank r_p reaches R: then r_p is the exact rank,
 an early stop is a certain No, and the samples left are not ranked (nor,
 on flags, drawn).  Only a scan that ends without a stop runs Bareiss,
@@ -50,15 +52,16 @@ Borel basis is one (m, n, dmax) array per flag, L^-1 is applied by
 forward substitution, and the rows are gathered at the chart
 coordinates, the entries of g^-1 y g that must vanish, so each flag gives
 dim G/P rows.  Mod MOD_PRIME every product is a box-sized entry of L
-times a residue (no int64 overflow); the same steps over Python ints give
-the exact rows.  A Yes or an early stop at the first sample pays for that
-sample's residues alone (and R, for a stop, unless cached).  Exact
-integers appear in three places only: R's nullspace, the point g, g^-1
-of a Yes certificate, formed from L when read, and the exact rows of the
-best sample of a scan that does not stop early, which Bareiss ranks,
-read as Python ints (.tolist()).  The module oracle draws all its points
-at once and forms its rows as one int64 product, exact since every
-partial sum stays below 2^63, then reduces them mod p.  A call whose
+times a residue (no int64 overflow at n <= MAX_MATRIX_SIZE, asserted
+below); the same steps over Python ints give the exact rows.  A Yes or an
+early stop at the first sample pays for that sample's residues alone (and
+R, for a stop, unless cached).  Exact integers appear in three places
+only: R's echelon form, the point g, g^-1 of a Yes certificate, formed
+from L when read, and the exact rows of the best sample of a scan that
+does not stop early, which Bareiss ranks, read as Python ints
+(.tolist()).  The module oracle draws all its points at once and forms
+its rows as one int64 product, exact since every partial sum stays below
+2^63, then reduces them mod p.  A call whose
 int64 residues, summed over its samples, would pass MAX_CELLS is refused
 with TooLarge before anything is drawn.
 """
@@ -71,6 +74,7 @@ import numpy as np
 
 from . import linalg
 from .algebras import (
+    MAX_MATRIX_SIZE,
     CatalogAlgebra,
     ModuleSpec,
     check_matrix_size,
@@ -93,6 +97,8 @@ MAX_SAMPLES = 1000
 # (64 MB): the module oracle holds them all at once; the flag oracle forms
 # the products y L one sample at a time, so for a flag this bounds work
 MAX_CELLS = 2**23
+# _flag_residues sums n <= MAX_MATRIX_SIZE residues times entries of L
+assert MAX_MATRIX_SIZE * COEFF_BOX * MOD_PRIME < 2**63
 
 
 def _check_cells(cells):
@@ -166,7 +172,7 @@ class OracleVerdict:
         )
 
 
-def sample_flag_point(flag: FlagType, rng, box=COEFF_BOX) -> FlagPoint:
+def sample_flag_point(flag: FlagType, rng) -> FlagPoint:
     """A random point g = L of the big cell N^-_P . P/P of the flag
     variety: unit lower triangular, zero inside the diagonal blocks cut by
     the steps, and the entries below them drawn from the box row by row in
@@ -180,7 +186,7 @@ def sample_flag_point(flag: FlagType, rng, box=COEFF_BOX) -> FlagPoint:
     n = flag.ambient
     chart = _chart_index(n, flag.dims)
     lower = np.eye(n, dtype=np.int64)
-    lower.flat[chart] = rng.integers(-box, box + 1, size=len(chart))
+    lower.flat[chart] = rng.integers(-COEFF_BOX, COEFF_BOX + 1, size=len(chart))
     return FlagPoint(flag, lower)
 
 
@@ -209,8 +215,8 @@ def _flag_residues(borel, points, flags, p=MOD_PRIME):
     g^-1 y_b g = L^-1 (y_b L).  y fixes the flag iff every chart entry
     vanishes, so the kernel is the stabilizer and the rank the orbit
     dimension.  Mod p every product taken is a residue times an entry of
-    L, so it stays in int64 while n * box * p < 2^63.  For the exact rows
-    the same steps run over Python ints: entries of L^-1 pass 2^63.
+    L, so it stays in int64 while n * COEFF_BOX * p < 2^63.  For the exact
+    rows the same steps run over Python ints: entries of L^-1 pass 2^63.
     """
     n, m = flags[0].ambient, len(borel)
     borel = np.asarray(borel, dtype=np.int64).reshape(m, n, n)
@@ -308,9 +314,9 @@ def _max_rank(borel, scalars_act_trivially):
 
 @lru_cache(maxsize=1024)
 def _max_rank_of(shape, idx, vals, scalars_act_trivially):
-    """_max_rank on its cache key.  The kernel of [y_1 ... y_m | I] (or of
-    [y_1 ... y_m]), one equation per matrix entry, projects one to one
-    onto the v in question, since I is not zero."""
+    """_max_rank on its cache key: the rank of [y_1 ... y_m | I] (or of
+    [y_1 ... y_m]), one equation per nonzero matrix entry, less one for
+    the I, whose kernel projects one to one onto the v in question."""
     m, n = shape[0], shape[-1]
     cols = np.zeros(m * n * n, dtype=np.int64)
     cols[np.frombuffer(idx, dtype=np.intp)] = np.frombuffer(vals, dtype=np.int64)
@@ -319,10 +325,10 @@ def _max_rank_of(shape, idx, vals, scalars_act_trivially):
         cols = np.vstack([cols, np.eye(n, dtype=np.int64).reshape(1, n * n)])
     rows = cols.T
     rows = rows[rows.any(axis=1)]
-    return m - len(linalg.nullspace(rows.tolist(), len(cols)))
+    return len(linalg.rref(rows.tolist())[1]) - scalars_act_trivially
 
 
-def _flag_verdict(n, k, flags, samples, seed, box):
+def _flag_verdict(n, k, flags, samples, seed):
     """The one validated scan path of the flag entry points: the Borel of k
     acts diagonally on the product of the flag varieties of `flags`, all
     in C^n.  Each sample draws one point per flag, in order, when the scan
@@ -344,10 +350,6 @@ def _flag_verdict(n, k, flags, samples, seed, box):
         )
     mats = mats.reshape(len(mats), n, n)
     _check_cells(samples * len(mats) * n * sum(f.dims[-1] for f in flags))
-    if n * max(box, 1) * MOD_PRIME >= 2**63:
-        raise TooLarge(
-            "coefficient box %d too large for int64 residues at n = %d" % (box, n)
-        )
     rng = np.random.default_rng(seed)
     drawn = []
 
@@ -355,7 +357,7 @@ def _flag_verdict(n, k, flags, samples, seed, box):
         # the scan asks for samples in order, so sample i gets the points
         # an up-front draw of all samples would give it
         while len(drawn) <= i:
-            drawn.append(tuple(sample_flag_point(f, rng, box) for f in flags))
+            drawn.append(tuple(sample_flag_point(f, rng) for f in flags))
         return drawn[i]
 
     def residues(i, p=MOD_PRIME):
@@ -376,9 +378,9 @@ def _flag_verdict(n, k, flags, samples, seed, box):
 
 
 def is_spherical_flag(
-    k, flag: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX
+    k, flag: FlagType, samples=DEFAULT_SAMPLES, seed=0
 ) -> OracleVerdict:
-    return _flag_verdict(flag.ambient, k, (flag,), samples, seed, box)
+    return _flag_verdict(flag.ambient, k, (flag,), samples, seed)
 
 
 def is_spherical_module(
@@ -387,7 +389,6 @@ def is_spherical_module(
     with_scalar=True,
     samples=DEFAULT_SAMPLES,
     seed=0,
-    box=COEFF_BOX,
 ) -> OracleVerdict:
     """Open-Borel-orbit test on the module itself: the span of b.w (plus w
     for the appended scalar) must be everything at some sampled w.
@@ -410,12 +411,12 @@ def is_spherical_module(
         borel = np.concatenate([borel, np.eye(n, dtype=np.int64)[None]])
     _check_cells(samples * len(borel) * n)
     bmax = int(np.abs(borel).max(initial=0))
-    if n * max(bmax, 1) * max(box, 1) >= 2**63:
+    if n * max(bmax, 1) * COEFF_BOX >= 2**63:
         raise TooLarge(
-            "coefficient box %d too large for int64 rows at dim %d" % (box, n)
+            "entries up to %d too large for int64 rows at dim %d" % (bmax, n)
         )
     rng = np.random.default_rng(seed)
-    points = rng.integers(-box, box + 1, size=(samples, n))
+    points = rng.integers(-COEFF_BOX, COEFF_BOX + 1, size=(samples, n))
     # rows[s, j, b] = (borel[b] . points[s])_j, every partial sum below
     # 2^63: one column per Borel basis element, as the scan ranks them
     rows = np.matmul(borel, points.T).transpose(2, 1, 0)
@@ -442,18 +443,18 @@ def levi_borel(n, flag: FlagType):
 
 
 def product_flag_complexity(
-    g_n, f1: FlagType, f2: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX
+    g_n, f1: FlagType, f2: FlagType, samples=DEFAULT_SAMPLES, seed=0
 ):
     """Complexity of the gl_n Borel acting diagonally on pairs of flags."""
     borel = partial(gl_borel, g_n)
-    return _flag_verdict(g_n, borel, (f1, f2), samples, seed, box).complexity
+    return _flag_verdict(g_n, borel, (f1, f2), samples, seed).complexity
 
 
 def levi_flag_complexity(
-    g_n, f1: FlagType, f2: FlagType, samples=DEFAULT_SAMPLES, seed=0, box=COEFF_BOX
+    g_n, f1: FlagType, f2: FlagType, samples=DEFAULT_SAMPLES, seed=0
 ):
     """Complexity of f1 under the Borel of the Levi attached to f2; equal to
     the product complexity by the restriction identity.  An f2 of another
     ambient is refused by levi_borel."""
     borel = partial(levi_borel, g_n, f2)
-    return _flag_verdict(g_n, borel, (f1,), samples, seed, box).complexity
+    return _flag_verdict(g_n, borel, (f1,), samples, seed).complexity

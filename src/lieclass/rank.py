@@ -5,13 +5,13 @@ Ranks over Q are computed here.  Exact bases come from linalg's one
 incremental echelon (linalg.Echelon, behind rref, nullspace, snmod's
 group-ring span and the quiver spans over cyclotomic fields), so the
 modular elimination, rank_exact and Echelon are the package's only
-eliminations.  Reduction mod a 31-bit prime can only lower a rank, so a
-modular rank that reaches a known upper bound is the exact rank.  A rank
-below the bound is re-done by fraction-free Bareiss elimination over
-Python ints, exact for arbitrary entry sizes.  rank_capped takes an
-integer array, certifies a rank at its cap mod p and falls back to
-Bareiss below it; only that fallback reads the entries as Python ints.
-The oracle does the same with the Borel's own rank as the bound.
+eliminations.  Reduction mod the one 31-bit prime, MOD_PRIME, can only
+lower a rank, so a modular rank that reaches a known upper bound is the
+exact rank.  A rank below the bound is re-done by fraction-free Bareiss
+elimination over Python ints, exact for arbitrary entry sizes.
+rank_capped takes an integer array, certifies a rank at its cap mod p and
+falls back to Bareiss below it; only that fallback reads the entries as
+Python ints.  The oracle does the same with R, the Borel's own rank.
 
 Entries must be integers (Python or numpy ints); they are read with
 operator.index, and the modular elimination accepts only integer dtypes,
@@ -63,15 +63,16 @@ def _eliminate(a, p):
     return r
 
 
-def rank_modp(a, p=MOD_PRIME):
-    """Rank over GF(p) of an integer matrix (an array or nested lists).
+def rank_modp(a):
+    """Rank over GF(MOD_PRIME) of an integer matrix (an array or lists).
 
     Always a lower bound for the rank over Q of the integer matrix the
-    input reduces.  The input is not modified; the elimination runs on a
-    copy of its residues.  A uint64 array is reduced before the cast to
-    int64, which would wrap its entries of 2^63 and up.  Entries of a
-    non-integer dtype (floats, Fractions in an object array) raise
-    TypeError; empty input of any dtype has rank 0.
+    input reduces; the prime is fixed so that _eliminate's products stay
+    in int64.  The input is not modified; the elimination runs on a copy
+    of its residues.  A uint64 array is reduced before the cast to int64,
+    which would wrap its entries of 2^63 and up.  Entries of a non-integer
+    dtype (floats, Fractions in an object array) raise TypeError; empty
+    input of any dtype has rank 0.
     """
     a = np.asarray(a)
     if a.size and not np.issubdtype(a.dtype, np.integer):
@@ -80,8 +81,9 @@ def rank_modp(a, p=MOD_PRIME):
     if not a.size:
         a = np.zeros(a.shape, dtype=np.int64)
     elif a.dtype == np.uint64:
-        a = a % np.uint64(p)
-    return _eliminate(np.remainder(a.astype(np.int64, copy=False), p), p)
+        a = a % np.uint64(MOD_PRIME)
+    a = np.remainder(a.astype(np.int64, copy=False), MOD_PRIME)
+    return _eliminate(a, MOD_PRIME)
 
 
 def rank_exact(rows):

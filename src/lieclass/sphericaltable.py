@@ -8,9 +8,11 @@ scalar operators.  This predicate is used as the P(V) test: the overall
 scalar is appended by default, matching sphericity of the projectivized
 module.
 
-Entries for spin representations, G2 and E6 are carried as data (they can
-be listed and inspected) but have no matrix constructors, so they can never
-arise from a ModuleSpec and the oracle cannot check them.
+_match_block is the one statement of the table: it returns the id of the
+entry a block matches (0, i-1..i-6, ii-1..ii-6, iii-1..iii-17) with the
+centers attached to it.  The table's entries for spin representations, G2,
+E6 and the triality of so_8 have no matrix constructors, so they can never
+arise from a ModuleSpec and are not matched.
 """
 
 from __future__ import annotations
@@ -29,107 +31,6 @@ from .algebras import (
     summand_scalars,
 )
 from .errors import UnrecognizedShape
-
-# Verbatim table data: (id, pair description, centers, constraints).
-TABLE_ENTRIES = [
-    ("0", "(0, C)", "[0]", "", True),
-    ("i-1", "(sl_n, {w1, w_{n-1}})", "[Ch_1]", "n>=2", True),
-    ("i-2", "(so_n, w1)", "[0]", "n>=3", True),
-    ("i-3", "(sp_2n, w1)", "[Ch_1]", "n>=2", True),
-    ("i-4", "(sl_n, {2w1, 2w_{n-1}})", "[0]", "n>=3", True),
-    ("i-5", "(sl_{2n+1}, {w2, w_{n-2}})", "[Ch_1]", "n>=2", True),
-    ("i-6", "(sl_{2n}, {w2, w_{n-2}})", "[0]", "n>=3", True),
-    ("i-7", "(so_7, w3)", "[0]", "", False),
-    ("i-8", "(so_8, {w3, w4})", "[0]", "", False),
-    ("i-9", "(so_9, w4)", "[0]", "", False),
-    ("i-10", "(so_10, {w4, w5})", "[Ch_1]", "", False),
-    ("i-11", "(E6, w1)", "[0]", "", False),
-    ("i-12", "(G2, w1)", "[0]", "", False),
-    ("ii-1", "(sl_n+sl_m, {w1,w_{n-1}}x{w1,w_{m-1}})", "[Ch_1]", "m>n>=2", True),
-    ("ii-2", "(sl_n+sl_n, {w1,w_{n-1}}x{w1,w_{n-1}})", "[0]", "n>=2", True),
-    ("ii-3", "(sl_2+sp_2n, w1 x w1)", "[0]", "n>=2", True),
-    ("ii-4", "(sl_3+sp_2n, {w1,w2} x w1)", "[0]", "n>=2", True),
-    ("ii-5", "(sl_n+sp_4, {w1,w_{n-1}} x w1)", "[Ch_1]", "n>=5", True),
-    ("ii-6", "(sl_4+sp_4, {w1,w3} x w1)", "[0]", "", True),
-    (
-        "iii-1",
-        "(sl_n+sl_m+sl_2; ({w1,w_{n-1}}+{w1,w_{m-1}}) x w1)",
-        "[Ch_{1,0}+Ch_{0,1}]",
-        "n,m>=3",
-        True,
-    ),
-    ("iii-2", "(sl_n; {w1+w1, w_{n-1}+w_{n-1}})", "[Ch_{1,1}]", "n>=3", True),
-    ("iii-3", "(sl_n; w1+w_{n-1})", "[Ch_{1,-1}]", "n>=3", True),
-    (
-        "iii-4",
-        "(sl_{2n}; {w1,w_{n-1}}+{w2,w_{n-2}})",
-        "[Ch_{0,1}]",
-        "n>=2",
-        True,
-    ),
-    ("iii-5", "(sl_{2n+1}; w1+w2)", "[Ch_{1,-m}]", "n>=2", True),
-    ("iii-6", "(sl_{2n+1}; w_{n-1}+w2)", "[Ch_{1,m}]", "n>=2", True),
-    (
-        "iii-7",
-        "(sl_n+sl_m; {w1,w_{n-1}} x (C+{w1,w_{m-1}}))",
-        "[Ch_{1,0}]",
-        "2<=n<m",
-        True,
-    ),
-    (
-        "iii-8",
-        "(sl_n+sl_m; {w1,w_{n-1}} x (C+{w1,w_{m-1}}))",
-        "[Ch_{1,1}]",
-        "m>=2, n>=m+2",
-        True,
-    ),
-    (
-        "iii-9",
-        "(sl_n+sl_m; {w1,w_{n-1}}+{w1*,w_{n-1}*} x {w1,w_{m-1}})",
-        "[Ch_{1,0}]",
-        "2<=n<m",
-        True,
-    ),
-    (
-        "iii-10",
-        "(sl_n+sl_m; {w1,w_{n-1}}+{w1*,w_{n-1}*} x {w1,w_{m-1}})",
-        "[Ch_{1,-1}]",
-        "m>=2, n>=m+2",
-        True,
-    ),
-    (
-        "iii-11",
-        "(sl_n+sp_2m+sl_2; ({w1,w_{n-1}}+w1) x w1)",
-        "[Ch_{0,1}]",
-        "n>=3, m>=1",
-        True,
-    ),
-    ("iii-12", "(sl_2; w1+w1)", "[0]", "", True),
-    (
-        "iii-13",
-        "(sl_n+sl_n; {w1,w_{n-1}}+{w1(*),w_{n-1}(*)} x {w1,w_{n-1}})",
-        "[0]",
-        "n>=2",
-        True,
-    ),
-    (
-        "iii-14",
-        "(sl_{n+1}+sl_n; {w1,w_n}+{w1(*),w_n(*)} x {w1,w_{n-1}})",
-        "[0]",
-        "n>=2",
-        True,
-    ),
-    ("iii-15", "(sl_2+sp_2n; w1 x (C+w1))", "[0]", "n>=2", True),
-    (
-        "iii-16",
-        "(sp_2n+sp_2m+sl_2; (w1+w1) x w1)",
-        "[0]",
-        "m,n>=2",
-        True,
-    ),
-    ("iii-17", "(sl_2+sl_2+sl_2, (w1+w1) x w1)", "[0]", "", True),
-    ("iii-18", "(so_8, {w1+w3, w1+w4, w3+w4})", "[0]", "", False),
-]
 
 
 class Block:

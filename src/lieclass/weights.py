@@ -15,25 +15,25 @@ finite and the order can be explored by breadth-first search.
 
 from __future__ import annotations
 
-from .errors import MismatchedSize, TooLarge
+from .errors import BadParameter, MismatchedSize, TooLarge
 from .tuples import as_tuple
 
+_RANK_CAP = 8
 _GROUP_CAP = 200_000
 
 
 class WeightOrderContext:
     """Root-system data for the weight order; type_tag in {"A", "C"}."""
 
-    __slots__ = ("type_tag", "n", "bound")
+    __slots__ = ("type_tag", "n")
 
-    def __init__(self, type_tag, n, bound=8):
+    def __init__(self, type_tag, n):
         if type_tag not in ("A", "C"):
-            raise ValueError("type_tag must be 'A' or 'C'")
+            raise BadParameter("type_tag must be 'A' or 'C', not %r" % (type_tag,))
         self.type_tag = type_tag
         self.n = int(n)
-        self.bound = bound
-        if self.n > bound:
-            raise TooLarge("rank %d exceeds bound %d" % (self.n, bound))
+        if self.n > _RANK_CAP:
+            raise TooLarge("rank %d exceeds the bound %d" % (self.n, _RANK_CAP))
 
     def positive_roots(self):
         n = self.n

@@ -376,3 +376,76 @@ class TestTableOracleAgreement:
         assert not verdict
         oracle = is_spherical_module(factors, spec, with_scalar=True, seed=3)
         assert not oracle
+
+
+def _t(i, ci, j, cj):
+    return ("tensor", (i, ci), (j, cj))
+
+
+# one instance of every entry id _match_block can return
+ENTRY_CASES = {
+    "0": ([("sl", 1)], [("natural", 0)]),
+    "i-1": ([("sl", 3)], [("natural", 0)]),
+    "i-2": ([("so", 5)], [("natural", 0)]),
+    "i-3": ([("sp", 4)], [("natural", 0)]),
+    "i-4": ([("sl", 3)], [("sym2", 0)]),
+    "i-5": ([("sl", 5)], [("wedge2", 0)]),
+    "i-6": ([("sl", 6)], [("wedge2", 0)]),
+    "ii-1": ([("sl", 2), ("sl", 3)], [_t(0, "n", 1, "n")]),
+    "ii-2": ([("sl", 3), ("sl", 3)], [_t(0, "n", 1, "n")]),
+    "ii-3": ([("sl", 2), ("sp", 4)], [_t(0, "n", 1, "n")]),
+    "ii-4": ([("sl", 3), ("sp", 4)], [_t(0, "n", 1, "n")]),
+    "ii-5": ([("sl", 5), ("sp", 4)], [_t(0, "n", 1, "n")]),
+    "ii-6": ([("sl", 4), ("sp", 4)], [_t(0, "n", 1, "n")]),
+    "iii-1": (
+        [("sl", 3), ("sl", 3), ("sl", 2)], [_t(0, "n", 2, "n"), _t(1, "n", 2, "n")]
+    ),
+    "iii-2": ([("sl", 3)], [("natural", 0), ("natural", 0)]),
+    "iii-3": ([("sl", 3)], [("natural", 0), ("dual", 0)]),
+    "iii-4": ([("sl", 4)], [("natural", 0), ("wedge2", 0)]),
+    "iii-5": ([("sl", 5)], [("natural", 0), ("wedge2", 0)]),
+    "iii-6": ([("sl", 5)], [("dual", 0), ("wedge2", 0)]),
+    "iii-7": ([("sl", 2), ("sl", 3)], [("natural", 0), _t(0, "n", 1, "n")]),
+    "iii-8": ([("sl", 4), ("sl", 2)], [("natural", 0), _t(0, "n", 1, "n")]),
+    "iii-9": ([("sl", 3), ("sl", 4)], [("natural", 0), _t(0, "d", 1, "n")]),
+    "iii-10": ([("sl", 4), ("sl", 2)], [("natural", 0), _t(0, "d", 1, "n")]),
+    "iii-11": (
+        [("sl", 3), ("sp", 4), ("sl", 2)], [_t(0, "n", 2, "n"), _t(1, "n", 2, "n")]
+    ),
+    "iii-12": ([("sl", 2)], [("natural", 0), ("natural", 0)]),
+    "iii-13": ([("sl", 3), ("sl", 3)], [("natural", 0), _t(0, "n", 1, "n")]),
+    "iii-14": ([("sl", 3), ("sl", 2)], [("natural", 0), _t(0, "n", 1, "n")]),
+    "iii-15": ([("sl", 2), ("sp", 4)], [("natural", 0), _t(0, "n", 1, "n")]),
+    "iii-16": (
+        [("sp", 4), ("sp", 4), ("sl", 2)], [_t(0, "n", 2, "n"), _t(1, "n", 2, "n")]
+    ),
+    "iii-17": (
+        [("sl", 2), ("sl", 2), ("sl", 2)], [_t(0, "n", 2, "n"), _t(1, "n", 2, "n")]
+    ),
+}
+
+# With only the centers attached to the entry (and the overall scalar)
+# these instances are not spherical, and the oracle agrees on that group;
+# with every summand scalar adjoined they are.
+NOT_SPHERICAL_WITH_ENTRY_CENTERS = {
+    "iii-2", "iii-8", "iii-12", "iii-13", "iii-14", "iii-15", "iii-16", "iii-17"
+}
+
+
+class TestEveryEntryId:
+    """_match_block is the table's one statement: each id it can return is
+    reached by an instance, whose verdict the oracle confirms on the
+    matched group."""
+
+    @pytest.mark.parametrize("centers", ["entries", "summands"])
+    @pytest.mark.parametrize("eid", list(ENTRY_CASES))
+    def test_instance_matches_its_id_and_the_oracle(self, eid, centers):
+        fstr, summands = ENTRY_CASES[eid]
+        factors = [make_algebra(tag, n) for tag, n in fstr]
+        spec = ModuleSpec(summands)
+        verdict = is_spherical_module_by_table(factors, spec, centers=centers)
+        assert verdict.entries == (eid,)
+        oracle = oracle_for_verdict(factors, spec, verdict, seed=11)
+        assert bool(verdict) == bool(oracle), (verdict, oracle)
+        spherical = centers == "summands" or eid not in NOT_SPHERICAL_WITH_ENTRY_CENTERS
+        assert bool(verdict) == spherical

@@ -7,6 +7,7 @@ import pytest
 from lieclass import linalg, oracle
 from lieclass.algebras import (
     MAX_MATRIX_SIZE,
+    CatalogAlgebra,
     ModuleSpec,
     direct_sum,
     gl_borel,
@@ -34,9 +35,10 @@ from lieclass.rank import MOD_PRIME, rank_exact, rank_modp
 
 
 class TestFlagPoint:
-    def test_sampled_point_is_unimodular(self):
+    def test_sampled_point_is_unimodular(self, monkeypatch):
+        monkeypatch.setattr(oracle, "COEFF_BOX", 50)
         rng = np.random.default_rng(5)
-        x = sample_flag_point(FlagType((1, 3), 5), rng, box=50)
+        x = sample_flag_point(FlagType((1, 3), 5), rng)
         assert linalg.matmul(x.g, x.g_inv) == linalg.identity(5)
         assert all(isinstance(e, int) for row in x.g for e in row)
         assert all(isinstance(e, int) for row in x.g_inv for e in row)
@@ -53,11 +55,12 @@ class TestOrbitDim:
         x = FlagPoint.standard(FlagType((1, 2), 4))
         assert borel_orbit_dim_at(k, x) == 0
 
-    def test_generic_point_gives_full_dim(self):
+    def test_generic_point_gives_full_dim(self, monkeypatch):
+        monkeypatch.setattr(oracle, "COEFF_BOX", 100)
         k = make_algebra("gl", 4)
         flag = FlagType((2,), 4)
         rng = np.random.default_rng(1)
-        x = sample_flag_point(flag, rng, box=100)
+        x = sample_flag_point(flag, rng)
         assert borel_orbit_dim_at(k, x) == flag.dim()
 
     def test_size_mismatch(self):
@@ -156,7 +159,7 @@ class TestModuleOracle:
                                 ModuleSpec([("natural", 0)]), samples=1000)
 
 
-def _module_rows_reference(rep, with_scalar, samples, seed, box):
+def _module_rows_reference(rep, with_scalar, samples, seed):
     """Points drawn entry by entry and rows y.w summed in Python ints: the
     definition the batched int64 rows of the module oracle must match."""
     borel = rep.borel_basis.tolist()
@@ -164,7 +167,7 @@ def _module_rows_reference(rep, with_scalar, samples, seed, box):
         borel.append(linalg.identity(rep.n))
     rng = np.random.default_rng(seed)
     points = [
-        [int(rng.integers(-box, box + 1)) for _ in range(rep.n)]
+        [int(rng.integers(-COEFF_BOX, COEFF_BOX + 1)) for _ in range(rep.n)]
         for _ in range(samples)
     ]
     rows = [
@@ -199,9 +202,9 @@ class TestModuleRows:
             return scan(target, residues, exact_rows, certificate, *rest)
 
         monkeypatch.setattr(oracle, "_scan", spy)
-        is_spherical_module(ks, spec, with_scalar, samples=4, seed=9, box=COEFF_BOX)
+        is_spherical_module(ks, spec, with_scalar, samples=4, seed=9)
         points, rows = _module_rows_reference(
-            representation(ks, spec), with_scalar, 4, 9, COEFF_BOX
+            representation(ks, spec), with_scalar, 4, 9
         )
         for i in range(4):
             # the scan ranks the transpose: one column per Borel element
@@ -214,10 +217,18 @@ class TestModuleRows:
                 [x % MOD_PRIME for x in row] for row in want
             ]
 
-    def test_box_too_large_for_int64_is_refused(self):
+    def test_entries_too_large_for_int64_rows_are_refused(self):
+        # an algebra built by a library caller: a row of the module oracle
+        # sums n products of an entry and a point coordinate, and with
+        # entries near 2^50 and coordinates up to COEFF_BOX that passes 2^63
+        def algebra(entry):
+            mats = [[[entry, 0], [0, 0]]]
+            return CatalogAlgebra(mats, mats, 2, {"type": "rep"})
+
         with pytest.raises(TooLarge):
-            is_spherical_module([make_algebra("sl", 3)],
-                                ModuleSpec([("natural", 0)]), box=2**62)
+            is_spherical_module(algebra(2**50))
+        v = is_spherical_module(algebra(2**40), with_scalar=False)
+        assert (v.kind, v.rank, v.target) == ("ProbablyNo", 1, 2)
 
 
 class TestProductComplexity:
@@ -283,14 +294,15 @@ class TestRandomStream:
         )
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
-    def test_chart_matches_row_by_row_draws(self, n):
+    def test_chart_matches_row_by_row_draws(self, monkeypatch, n):
+        monkeypatch.setattr(oracle, "COEFF_BOX", 50)
         # every flag of C^n: the entries below the diagonal blocks, drawn
         # row by row, one scalar draw each; 1 on the diagonal, 0 elsewhere
         rng = np.random.default_rng(n)
         ref = np.random.default_rng(n)
         for length in range(1, n):
             for dims in itertools.combinations(range(1, n), length):
-                x = sample_flag_point(FlagType(dims, n), rng, 50)
+                x = sample_flag_point(FlagType(dims, n), rng)
                 want = linalg.identity(n)
                 for i in range(n):
                     for j in range(max((d for d in dims if d <= i), default=0)):
@@ -350,7 +362,7 @@ class TestResidues:
     def _check(borel, flags, seed, samples=3):
         rng = np.random.default_rng(seed)
         points = [
-            tuple(sample_flag_point(f, rng, COEFF_BOX) for f in flags)
+            tuple(sample_flag_point(f, rng) for f in flags)
             for _ in range(samples)
         ]
         got = _flag_residues(borel, points, flags)
@@ -424,7 +436,7 @@ class TestResidues:
         array = gl_borel(7)
         assert array.dtype == np.int64 and array.tolist() == lists
         full = FlagType(tuple(range(1, 7)), 7)
-        x = sample_flag_point(full, np.random.default_rng(7), COEFF_BOX)
+        x = sample_flag_point(full, np.random.default_rng(7))
         rows = _flag_residues(array, [(x,)], (full,), None)[0].tolist()
         assert rows == _flag_residues(lists, [(x,)], (full,), None)[0].tolist()
         assert all(type(e) is int for row in rows for e in row)
@@ -452,11 +464,6 @@ class TestResidues:
         with pytest.raises(ValueError):
             gl_borel(5)[0, 0, 0] = 7
 
-    def test_box_too_large_for_int64_is_refused(self):
-        k = make_algebra("sl", 3)
-        with pytest.raises(TooLarge):
-            is_spherical_flag(k, FlagType((1,), 3), box=2**32)
-
 
 def _transpose(a):
     return [list(col) for col in zip(*a)]
@@ -481,11 +488,12 @@ class TestChart:
         [(tag, n) for n in range(2, 8) for tag in ("gl", "so", "sp")
          if not (tag == "so" and n < 3 or tag == "sp" and n % 2)],
     )
-    def test_rank_at_lmu_equals_rank_at_l(self, tag, n):
+    def test_rank_at_lmu_equals_rank_at_l(self, monkeypatch, tag, n):
+        monkeypatch.setattr(oracle, "COEFF_BOX", 50)
         k = make_algebra(tag, n)
         rng = np.random.default_rng(100 + n)
         for flag in _flags_of(n):
-            x = sample_flag_point(flag, rng, box=50)
+            x = sample_flag_point(flag, rng)
             cuts = [max((d for d in flag.dims if d <= i), default=0)
                     for i in range(n)]
             m = _unit_lower_in(
@@ -681,7 +689,7 @@ class TestExactRank:
     def test_product_and_levi_pairs(self, monkeypatch, seed):
         calls, verdicts = self._record(monkeypatch), []
         for n, borel, flags in self._pair_cases():
-            verdicts.append(oracle._flag_verdict(n, borel, flags, 5, seed, COEFF_BOX))
+            verdicts.append(oracle._flag_verdict(n, borel, flags, 5, seed))
         proved, early = self._check(calls, verdicts)
         assert proved > 100 and early > 100
 
@@ -705,6 +713,7 @@ class TestExactRank:
         scan that stopped too soon would report less than the maximum.
         The call itself draws the points of the samples it ranks and no
         more, and they are the points of the up-front draw."""
+        monkeypatch.setattr(oracle, "COEFF_BOX", box)
         calls, stops = self._record(monkeypatch), 0
         drawn, draw = [], oracle.sample_flag_point
 
@@ -715,13 +724,13 @@ class TestExactRank:
         for n, k, flags in getattr(self, cases)():
             drawn.clear()
             monkeypatch.setattr(oracle, "sample_flag_point", counted)
-            v = oracle._flag_verdict(n, k, flags, 5, seed, box)
+            v = oracle._flag_verdict(n, k, flags, 5, seed)
             monkeypatch.setattr(oracle, "sample_flag_point", draw)
             ranked = calls[-1]["ranked"]
             assert drawn == list(flags) * len(ranked)
             rng = np.random.default_rng(seed)
             points = [
-                tuple(sample_flag_point(f, rng, box) for f in flags)
+                tuple(sample_flag_point(f, rng) for f in flags)
                 for _ in range(5)
             ]
             borel = k() if callable(k) else k
@@ -770,7 +779,7 @@ class TestExactRank:
         calls = self._record(monkeypatch)
         stops = ends = 0
         for n, k, flags in getattr(self, cases)():
-            v = oracle._flag_verdict(n, k, flags, 5, 3, COEFF_BOX)
+            v = oracle._flag_verdict(n, k, flags, 5, 3)
             call = calls[-1]
             # Bareiss runs exactly when exact rows were formed, on them
             assert len(call["bareiss"]) == len(call["formed"]) <= 1
@@ -856,8 +865,9 @@ class TestExactRank:
 
 
 class TestMaxRank:
-    """R, the rank of the Borel action itself, from linalg.nullspace: m minus
-    the v whose combination is scalar (flags) or zero (modules)."""
+    """R, the rank of the Borel action itself: m minus the dimension of the
+    v whose combination is scalar (flags) or zero (modules), counted as
+    rank([Y; I]) - 1 or rank(Y) from linalg.rref."""
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_gl_loses_the_scalars_on_flags(self, n):
@@ -923,5 +933,5 @@ class TestMaxRank:
         assert is_spherical_module([make_algebra(*f) for f in factors], spec)
         assert asked == []
         two = FlagType((1, 2, 3), 4)
-        v = oracle._flag_verdict(4, partial(gl_borel, 4), (two, two), 5, 2, COEFF_BOX)
+        v = oracle._flag_verdict(4, partial(gl_borel, 4), (two, two), 5, 2)
         assert not v and asked == [True]

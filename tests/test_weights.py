@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieclass.errors import MismatchedSize, TooLarge
+from lieclass.errors import BadParameter, MismatchedSize, TooLarge
 from lieclass.weights import (
     WeightOrderContext,
     correctly_ordered,
@@ -17,7 +17,11 @@ class TestContext:
     def test_rank_bound(self):
         with pytest.raises(TooLarge):
             WeightOrderContext("A", 9)
-        WeightOrderContext("A", 9, bound=9)
+        assert WeightOrderContext("C", 8).n == 8
+
+    def test_unknown_type_tag_is_a_bad_parameter(self):
+        with pytest.raises(BadParameter):
+            WeightOrderContext("B", 3)
 
     def test_root_counts(self):
         assert len(WeightOrderContext("A", 4).positive_roots()) == 6
