@@ -263,11 +263,14 @@ def classify_grassmannian(r, d: ClassificationDatum) -> ClassificationVerdict:
 
 def product_flags_spherical(steps1, steps2) -> bool:
     """Membership in the list of spherical products of two flag varieties,
-    by unordered pair of step multisets."""
+    by unordered pair of step multisets.  A multiset of one step is the
+    point G/G, not a flag variety, and is refused as FlagType refuses it."""
     a = sorted(steps1)
     b = sorted(steps2)
     if min(a + b, default=0) < 1:
         raise BadParameter("flag steps must be at least 1")
+    if min(len(a), len(b)) < 2:
+        raise BadParameter("a flag needs at least two steps")
     if sum(a) != sum(b):
         raise MismatchedSize("step multisets must sum to the same total")
     for x, y in ((a, b), (b, a)):

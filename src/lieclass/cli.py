@@ -274,6 +274,8 @@ def _cmd_oracle(args, out):
 
     seed = _seed(args)
     if " on " in args.k:
+        if args.dims is not None:
+            raise BadParameter("a module question takes no --dims")
         factors, spec = parse_algebra_module(args.k)
         algs = [make_algebra(tag, size) for tag, size in factors]
         verdict = is_spherical_module(

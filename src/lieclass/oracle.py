@@ -35,9 +35,9 @@ flags and rank(y_1, ..., y_m) on the module, counted once per Borel basis
 from an exact echelon form (linalg.rref), cached by the basis' contents,
 and computed only when the first sample is not a Yes.  The scan stops as
 soon as a sample's mod-p rank r_p reaches R: then r_p is the exact rank,
-an early stop is a certain No, and the samples left are not ranked (nor,
-on flags, drawn).  Only a scan that ends without a stop runs Bareiss,
-once, on its best sample.
+an early stop is a certain No, and the samples left are neither drawn
+nor ranked.  Only a scan that ends without a stop runs Bareiss, once, on
+its best sample.
 
 Every flag scan ranks one flag.  A product G/P x G/Q is asked through
 the restriction identity c_B(G/P x G/Q) = c_{B_L}(G/P): the Borel B has
@@ -46,15 +46,16 @@ Q's Levi, so the scan ranks dim G/P rows over the Levi Borel's
 sum b (b + 1) / 2 columns (b over Q's blocks).  The restricting flag is
 the one with the smaller Levi Borel (product_flag_complexity).
 
-The flag entry points draw a sample's point when the scan first asks
-about that sample.  The scan visits the samples in order and the
-generator is sequential, so every sample gets the point an up-front draw
-would give it, and a call that stops at sample i draws i + 1 samples.
-The Borel basis enters as one read-only int64 (m, n, n) array: an
-algebra's own borel_basis, algebras.gl_borel(n), built once per n, or a
-row selection of it for a Levi; a bare Borel basis is read with
-np.asarray.  One routine, _flag_residues, conjugates it by a sample's
-point, and only when the scan asks: g^-1 y g = L^-1 (y L) for the whole
+One loop, _scan, answers flags and modules alike: it seeds the
+generator, draws each sample's point when it reaches that sample, ranks
+the point's rows mod p, and carries the point as a Yes certificate.  The
+generator is sequential and the scan goes in order, so every sample gets
+the point an up-front draw would give it, and a call that stops at
+sample i draws i + 1 points.  The Borel basis enters as one read-only
+int64 (m, n, n) array: an algebra's own borel_basis, algebras.gl_borel(n),
+built once per n, or a row selection of it for a Levi; a bare Borel
+basis is read with np.asarray.  On a flag, _flag_residues conjugates it
+by the sample's point: g^-1 y g = L^-1 (y L) for the whole
 Borel basis is one (m, n, dmax) array, L^-1 is applied by forward
 substitution, and the rows are gathered at the chart coordinates, the
 entries of g^-1 y g that must vanish, so the flag gives dim G/P rows.
@@ -66,11 +67,11 @@ R, for a stop, unless cached).  Exact integers appear in three places
 only: R's echelon form, the point g, g^-1 of a Yes certificate, formed
 from L when read, and the exact rows of the best sample of a scan that
 does not stop early, which Bareiss ranks, read as Python ints
-(.tolist()).  The module oracle draws all its points at once and forms
-its rows as one int64 product, exact since every partial sum stays below
-2^63, then reduces them mod p.  A call whose
-int64 residues, summed over its samples, would pass MAX_CELLS is refused
-with TooLarge before anything is drawn.
+(.tolist()).  On a module a sample's rows are the int64 product of the
+Borel basis with the point w, exact since every partial sum stays below
+2^63 (checked before the scan); rank_modp reduces them and Bareiss reads
+the same rows.  A call whose int64 residues, summed over its samples,
+would pass MAX_CELLS is refused with TooLarge before anything is drawn.
 """
 
 from __future__ import annotations
@@ -101,8 +102,7 @@ COEFF_BOX = 10_000
 DEFAULT_SAMPLES = 5
 MAX_SAMPLES = 1000
 # int64 cells of the residue arrays of one call, summed over its samples
-# (64 MB): the module oracle holds them all at once; the flag oracle forms
-# the products y L one sample at a time, so for a flag this bounds work
+# (64 MB); the scan forms them one sample at a time, so this bounds work
 MAX_CELLS = 2**23
 # _flag_residues sums n <= MAX_MATRIX_SIZE residues times entries of L
 assert MAX_MATRIX_SIZE * COEFF_BOX * MOD_PRIME < 2**63
@@ -211,94 +211,100 @@ def _chart_index(n, dims):
     return chart
 
 
-def _flag_residues(borel, points, flag, p=MOD_PRIME):
-    """Constraint rows of every sample, shape (samples, dim G/P, m): int64
-    residues mod p, or for p None the exact rows, Python ints in an object
-    array.
+def _flag_residues(borel, x, p=MOD_PRIME):
+    """Constraint rows of the int64 (m, n, n) Borel basis at the flag point
+    x, shape (dim G/P, m): int64 residues mod p, or for p None the exact
+    rows, Python ints in an object array.
 
-    points[s] is the sampled point of the flag at sample s; it gives one
-    row per chart coordinate, row by row.  Entry (c, b) is the chart entry
-    c of g^-1 y_b g = L^-1 (y_b L).  y fixes the flag iff every chart entry
-    vanishes, so the kernel is the stabilizer and the rank the orbit
+    One row per chart coordinate, row by row.  Entry (c, b) is the chart
+    entry c of g^-1 y_b g = L^-1 (y_b L).  y fixes the flag iff every chart
+    entry vanishes, so the kernel is the stabilizer and the rank the orbit
     dimension.  Mod p every product taken is a residue times an entry of
     L, so it stays in int64 while n * COEFF_BOX * p < 2^63.  For the exact
     rows the same steps run over Python ints: entries of L^-1 pass 2^63.
     """
-    n, m = flag.ambient, len(borel)
-    borel = np.asarray(borel, dtype=np.int64).reshape(m, n, n)
-    borel = borel.astype(object) if p is None else borel % p
-    rr, kk = np.divmod(_chart_index(n, flag.dims), n)
-    lower = np.stack([x.lower for x in points])
+    n = x.ambient
+    rr, kk = np.divmod(_chart_index(n, x.dims), n)
+    lower = x.lower
     if p is None:
-        lower = lower.astype(object)
-    hi = flag.dims[-1]
+        borel, lower = borel.astype(object), lower.astype(object)
+    else:
+        borel = borel % p
+    hi = x.dims[-1]
     # Columns k < hi of y L, then L^-1 by forward substitution: L is zero
     # below the diagonal in columns j >= hi (the last block).
-    a = np.matmul(borel, lower[:, None, :, :hi])
+    a = np.matmul(borel, lower[:, :hi])
     if p is not None:
         a %= p
     for j in range(hi):
-        a[:, :, j + 1 :] -= lower[:, None, j + 1 :, j, None] * a[:, :, j, None]
+        a[:, j + 1 :] -= lower[j + 1 :, j, None] * a[:, j, None]
         if p is not None:
-            a[:, :, j + 1 :] %= p
-    return a[:, :, rr, kk].transpose(0, 2, 1)
+            a[:, j + 1 :] %= p
+    return a[:, rr, kk].T
+
+
+def _borel_array(k, n):
+    """The Borel basis of k (an algebra or a bare Borel basis) as an int64
+    (m, n, n) array; it must act on C^n."""
+    if isinstance(k, CatalogAlgebra):
+        k = k.borel_basis
+    borel = np.asarray(k, dtype=np.int64)
+    if len(borel) and borel.shape[1:] != (n, n):
+        raise DimensionMismatch(
+            "Borel matrices of shape %r, the flag lives in C^%d"
+            % (borel.shape[1:], n)
+        )
+    return borel.reshape(len(borel), n, n)
 
 
 def borel_orbit_dim_at(b, x: FlagPoint):
     """Exact dimension of the orbit of the Borel b (an algebra or a bare
     Borel basis) through the flag x."""
-    if isinstance(b, CatalogAlgebra):
-        b = b.borel_basis
-    borel = np.asarray(b, dtype=np.int64)
-    if len(borel) and borel.shape[-1] != x.ambient:
-        raise DimensionMismatch(
-            "Borel acts on C^%d, point lives in C^%d"
-            % (borel.shape[-1], x.ambient)
-        )
-    flag = FlagType(x.dims, x.ambient)
-    return rank_exact(_flag_residues(borel, [x], flag, None)[0].tolist())
+    borel = _borel_array(b, x.ambient)
+    return rank_exact(_flag_residues(borel, x, None).tolist())
 
 
-def _scan(target, residues, exact_rows, certificate, max_rank, samples, seed):
-    """Shared max-rank loop: modular rank per sample, Yes on certification,
-    a certain No when a rank reaches R, otherwise the exact rank at the
-    best sample by Bareiss.
+def _scan(borel, scalars_act_trivially, target, draw, rows, samples, seed):
+    """The one max-rank loop of every oracle question: modular rank per
+    sample, Yes on certification, a certain No when a rank reaches R,
+    otherwise the exact rank at the best sample by Bareiss.
 
-    residues(i) is the constraint matrix of sample i mod p, one column per
-    Borel basis element, exact_rows(i) the same matrix over Z as an object
-    array (formed once, for the best sample of a scan that does not stop
-    early), certificate(i) the point a Yes at sample i carries, and
-    max_rank() the integer R, the highest rank any point can reach (m
-    minus the dimension of the v whose sum v_b y_b acts trivially at every
-    point).  R is asked for once, after the first sample if it is not a
-    Yes, so a Yes at the first sample never computes it.
+    draw(rng) is the next sample's point, drawn when the scan reaches that
+    sample from the generator seeded here, and rows(x, p) the constraint
+    matrix at the point x, one column per element of the int64 Borel basis
+    borel, as an integer array: for p = MOD_PRIME its entries mod p are the
+    ones rank_modp ranks (a flag forms residues, a module its exact int64
+    rows), and for p None it holds the exact integers (formed once, for
+    the best sample of a scan that does not stop early).  A Yes carries
+    its sample's point.  R, the highest rank any point can reach
+    (_max_rank, with Y scalar when scalars_act_trivially, else 0), is
+    asked for once, after the first sample if it is not a Yes, so a Yes at
+    the first sample never computes it.
 
     Early stop: a sample whose mod-p rank r_p equals R ends the scan with
-    ProbablyNo(r_p), without ranking the rest.  Every point's kernel
-    contains the trivially acting v, so no point ranks above R: r_p = R is
-    the exact rank, and since it is below the target (a Yes is checked
-    first), no later sample can be a Yes or rank higher.  Otherwise every
-    mod-p rank stays below R, and Bareiss ranks the exact rows of the best
-    sample (the first to reach the highest mod-p rank), once: a rank it
-    finds at the target is still a Yes, carrying that sample's point."""
-    best_rank, best_index = -1, -1
+    ProbablyNo(r_p), without drawing or ranking the rest.  Every point's
+    kernel contains the trivially acting v, so no point ranks above R: r_p
+    = R is the exact rank, and since it is below the target (a Yes is
+    checked first), no later sample can be a Yes or rank higher.  Otherwise
+    every mod-p rank stays below R, and Bareiss ranks the exact rows of the
+    best sample (the first to reach the highest mod-p rank), once: a rank
+    it finds at the target is still a Yes, carrying that sample's point."""
+    rng = np.random.default_rng(seed)
+    best_rank = -1
     for idx in range(samples):
-        rp = rank_modp(residues(idx))
+        x = draw(rng)
+        rp = rank_modp(rows(x, MOD_PRIME))
         if rp >= target:
-            return OracleVerdict(
-                "Yes", target, target, samples, seed, certificate(idx)
-            )
+            return OracleVerdict("Yes", target, target, samples, seed, x)
         if not idx:
-            bound = max_rank()
+            bound = _max_rank(borel, scalars_act_trivially)
         if rp == bound:
             return OracleVerdict("ProbablyNo", rp, target, samples, seed)
         if rp > best_rank:
-            best_rank, best_index = rp, idx
-    exact = rank_exact(exact_rows(best_index).tolist())
+            best_rank, best = rp, x
+    exact = rank_exact(rows(best, None).tolist())
     if exact >= target:
-        return OracleVerdict(
-            "Yes", target, target, samples, seed, certificate(best_index)
-        )
+        return OracleVerdict("Yes", target, target, samples, seed, best)
     return OracleVerdict("ProbablyNo", exact, target, samples, seed)
 
 
@@ -331,56 +337,26 @@ def _max_rank_of(shape, idx, vals, scalars_act_trivially):
     return len(linalg.rref(rows.tolist())[1]) - scalars_act_trivially
 
 
-def _flag_verdict(n, k, flag, samples, seed):
-    """The one validated scan path of the flag entry points: the Borel of k
-    acts on the flag variety of `flag` in C^n.  Each sample draws the
-    flag's point when the scan first asks about it; every check comes
-    before the first draw.
-
-    k is an algebra, a Borel basis, or a function building one; it is
-    called only once the sample count and the flag ambient are checked."""
-    _check_samples(samples)
-    if flag.ambient != n:
-        raise DimensionMismatch("flag ambient must equal %d" % n)
-    check_matrix_size(n)
-    k = k() if callable(k) else k
-    if isinstance(k, CatalogAlgebra):
-        k = k.borel_basis
-    mats = np.asarray(k, dtype=np.int64)
-    if len(mats) and mats.shape[-1] != n:
-        raise DimensionMismatch(
-            "Borel acts on C^%d, the flag lives in C^%d" % (mats.shape[-1], n)
-        )
-    mats = mats.reshape(len(mats), n, n)
-    _check_cells(samples * len(mats) * n * flag.dims[-1])
-    rng = np.random.default_rng(seed)
-    drawn = []
-
-    def point(i):
-        # the scan asks for samples in order, so sample i gets the point
-        # an up-front draw of all samples would give it
-        while len(drawn) <= i:
-            drawn.append(sample_flag_point(flag, rng))
-        return drawn[i]
-
-    def residues(i, p=MOD_PRIME):
-        return _flag_residues(mats, [point(i)], flag, p)[0]
-
-    return _scan(
-        flag.dim(),
-        residues,
-        partial(residues, p=None),
-        point,
-        partial(_max_rank, mats, True),
-        samples,
-        seed,
-    )
-
-
 def is_spherical_flag(
     k, flag: FlagType, samples=DEFAULT_SAMPLES, seed=0
 ) -> OracleVerdict:
-    return _flag_verdict(flag.ambient, k, flag, samples, seed)
+    """Open-Borel-orbit test on the flag variety of `flag`: the Borel of k
+    (an algebra or a bare Borel basis) acting on C^n, n the flag's
+    ambient.  Every check comes before the first draw."""
+    _check_samples(samples)
+    n = flag.ambient
+    check_matrix_size(n)
+    borel = _borel_array(k, n)
+    _check_cells(samples * len(borel) * n * flag.dims[-1])
+    return _scan(
+        borel,
+        True,
+        flag.dim(),
+        partial(sample_flag_point, flag),
+        partial(_flag_residues, borel),
+        samples,
+        seed,
+    )
 
 
 def is_spherical_module(
@@ -415,18 +391,13 @@ def is_spherical_module(
         raise TooLarge(
             "entries up to %d too large for int64 rows at dim %d" % (bmax, n)
         )
-    rng = np.random.default_rng(seed)
-    points = rng.integers(-COEFF_BOX, COEFF_BOX + 1, size=(samples, n))
-    # rows[s, j, b] = (borel[b] . points[s])_j, every partial sum below
-    # 2^63: one column per Borel basis element, as the scan ranks them
-    rows = np.matmul(borel, points.T).transpose(2, 1, 0)
-    residues = rows % MOD_PRIME
     return _scan(
+        borel,
+        False,
         n,
-        residues.__getitem__,
-        lambda i: rows[i].astype(object),
-        points.tolist().__getitem__,
-        partial(_max_rank, borel, False),
+        lambda rng: rng.integers(-COEFF_BOX, COEFF_BOX + 1, size=n).tolist(),
+        # row j, column b: (borel[b] . w)_j, every partial sum below 2^63
+        lambda w, p: np.matmul(borel, w).T,
         samples,
         seed,
     )
@@ -455,7 +426,8 @@ def _levi_verdict(g_n, f1, f2, samples, seed):
     _check_samples(samples)
     if f1.ambient != g_n or f2.ambient != g_n:
         raise DimensionMismatch("flag ambients must equal %d" % g_n)
-    return _flag_verdict(g_n, partial(levi_borel, g_n, f2), f1, samples, seed)
+    check_matrix_size(g_n)
+    return is_spherical_flag(levi_borel(g_n, f2), f1, samples, seed)
 
 
 def product_flag_complexity(

@@ -5,7 +5,6 @@ import io
 import itertools
 import os
 from fractions import Fraction
-from functools import partial
 from math import factorial
 
 import numpy as np
@@ -208,14 +207,15 @@ def test_criterion_3_levi_scans_are_as_certain_as_stacked_ones(monkeypatch):
     # this sweep, 274 of the Nos stopped early (a stop is a certain No)
     counts, scan = {"Yes": 0, "ProbablyNo": 0, "early": 0}, oracle._scan
 
-    def spy(target, residues, *rest):
+    def spy(borel, scalars, target, draw, rows, *rest):
         ranked = []
 
-        def counted(i):
-            ranked.append(i)
-            return residues(i)
+        def counted(x, p):
+            if p is not None:
+                ranked.append(x)
+            return rows(x, p)
 
-        v = scan(target, counted, *rest)
+        v = scan(borel, scalars, target, draw, counted, *rest)
         counts[v.kind] += 1
         counts["early"] += v.kind == "ProbablyNo" and len(ranked) < v.samples
         return v
@@ -241,36 +241,22 @@ def stacked_rows(points, p=oracle.MOD_PRIME):
     flag's rows over gl_borel(n), stacked in order (dim G/P + dim G/Q rows,
     n (n + 1) / 2 columns); residues mod p, or exact for p None."""
     n = points[0].ambient
-    return np.concatenate([
-        oracle._flag_residues(gl_borel(n), [x], FlagType(x.dims, n), p)[0]
-        for x in points
-    ])
+    return np.concatenate(
+        [oracle._flag_residues(gl_borel(n), x, p) for x in points]
+    )
 
 
 def stacked_product_verdict(n, f1, f2, samples, seed):
     """Reference for product_flag_complexity: the gl_n Borel on the product
     itself, one point per flag per sample (f1's, then f2's, as drawn when
-    the scan asks), ranked by the oracle's scan on the stacked rows.  A Yes
-    carries the pair of points."""
-    rng = np.random.default_rng(seed)
-    drawn = []
-
-    def points(i):
-        while len(drawn) <= i:
-            drawn.append(
-                (sample_flag_point(f1, rng), sample_flag_point(f2, rng))
-            )
-        return drawn[i]
-
-    def rows(i, p=oracle.MOD_PRIME):
-        return stacked_rows(points(i), p)
-
+    the scan reaches the sample), ranked by the oracle's scan on the
+    stacked rows.  A Yes carries the pair of points."""
     return oracle._scan(
+        gl_borel(n),
+        True,
         f1.dim() + f2.dim(),
-        rows,
-        partial(rows, p=None),
-        points,
-        partial(oracle._max_rank, gl_borel(n), True),
+        lambda rng: (sample_flag_point(f1, rng), sample_flag_point(f2, rng)),
+        stacked_rows,
         samples,
         seed,
     )

@@ -156,6 +156,16 @@ class TestProductFlags:
         with pytest.raises(BadParameter):
             product_flags_spherical(steps1, steps2)
 
+    @pytest.mark.parametrize(
+        "steps1, steps2", [((1, 1, 1), (3,)), ((4,), (4,)), ((1, 2), (3,))]
+    )
+    def test_one_step_is_not_a_flag(self, steps1, steps2):
+        # one step is the point G/G, which FlagType refuses; a verdict on
+        # it would be false (G/B x pt is spherical, yet the list says no)
+        for a, b in ((steps1, steps2), (steps2, steps1)):
+            with pytest.raises(BadParameter):
+                product_flags_spherical(a, b)
+
 
 class TestBoundedSubalgebra:
     def test_sym2_true(self):

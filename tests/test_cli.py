@@ -143,6 +143,19 @@ class TestExitCodes:
         code, _ = run_capture(["oracle", "--k", "sp(4)"])
         assert code == 2
 
+    def test_dims_on_a_module_question_is_2(self):
+        code, text = run_capture(["oracle", "--k", "sl(3) on C3", "--dims", "1"])
+        assert code == 2 and text.startswith("error:")
+
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    @pytest.mark.parametrize(
+        "steps1, steps2", [("1,1,1", "3"), ("4", "4"), ("1,2", "3")]
+    )
+    def test_product_of_one_step_is_2(self, check, steps1, steps2):
+        argv = ["product", "--steps1", steps1, "--steps2", steps2] + check
+        code, text = run_capture(argv)
+        assert code == 2 and text.startswith("error:")
+
     def test_zero_denominator_monodromy_is_2(self):
         code, text = run_capture(
             ["count-simples", "--quiver", "A", "--n", "2", "--monodromy", "1/0"]

@@ -1,5 +1,4 @@
 import itertools
-from functools import partial
 
 import numpy as np
 import pytest
@@ -68,6 +67,15 @@ class TestOrbitDim:
         k = make_algebra("gl", 3)
         with pytest.raises(DimensionMismatch):
             borel_orbit_dim_at(k, FlagPoint.standard(FlagType((1,), 4)))
+
+    def test_non_square_borel_is_a_dimension_mismatch(self):
+        # 3 x 4 matrices cannot act on C^4: the last axis alone matches
+        borel = np.zeros((2, 3, 4), dtype=np.int64)
+        flag = FlagType((1,), 4)
+        with pytest.raises(DimensionMismatch):
+            borel_orbit_dim_at(borel, FlagPoint.standard(flag))
+        with pytest.raises(DimensionMismatch):
+            is_spherical_flag(borel, flag)
 
 
 class TestFlagOracle:
@@ -179,8 +187,9 @@ def _module_rows_reference(rep, with_scalar, samples, seed):
 
 
 class TestModuleRows:
-    """The module oracle's residues, exact rows and certificate points equal
-    the pure-Python reference at every sample."""
+    """The module oracle's points and rows, mod p and exact, equal the
+    pure-Python reference at every sample, and a Yes carries one of the
+    points."""
 
     @pytest.mark.parametrize(
         "factors,summands",
@@ -198,25 +207,30 @@ class TestModuleRows:
         spec = ModuleSpec(summands)
         seen, scan = {}, oracle._scan
 
-        def spy(target, residues, exact_rows, certificate, *rest):
-            seen.update(residues=residues, exact_rows=exact_rows, cert=certificate)
-            return scan(target, residues, exact_rows, certificate, *rest)
+        def spy(borel, scalars, target, draw, rows, *rest):
+            seen.update(draw=draw, rows=rows)
+            return scan(borel, scalars, target, draw, rows, *rest)
 
         monkeypatch.setattr(oracle, "_scan", spy)
-        is_spherical_module(ks, spec, with_scalar, samples=4, seed=9)
+        v = is_spherical_module(ks, spec, with_scalar, samples=4, seed=9)
         points, rows = _module_rows_reference(
             representation(ks, spec), with_scalar, 4, 9
         )
+        if v:
+            assert v.certificate in points
+        # the scan's draws from its own seeded generator, replayed: every
+        # sample, also those a stop leaves undrawn
+        rng = np.random.default_rng(9)
         for i in range(4):
+            x = seen["draw"](rng)
+            assert x == points[i]
             # the scan ranks the transpose: one column per Borel element
             want = [list(col) for col in zip(*rows[i])]
-            exact = seen["exact_rows"](i).tolist()
-            assert seen["cert"](i) == points[i]
+            exact = seen["rows"](x, None).tolist()
             assert exact == want
             assert all(type(e) is int for row in exact for e in row)
-            assert seen["residues"](i).tolist() == [
-                [x % MOD_PRIME for x in row] for row in want
-            ]
+            residues = np.remainder(seen["rows"](x, MOD_PRIME), MOD_PRIME)
+            assert residues.tolist() == [[e % MOD_PRIME for e in row] for row in want]
 
     def test_entries_too_large_for_int64_rows_are_refused(self):
         # an algebra built by a library caller: a row of the module oracle
@@ -266,17 +280,19 @@ class TestProductComplexity:
         ],
     )
     def test_the_smaller_levi_borel_restricts(self, monkeypatch, dims1, dims2, scanned):
-        asked, verdict = [], oracle._flag_verdict
+        asked, verdict = [], oracle.is_spherical_flag
 
-        def spy(n, k, flag, *rest):
-            asked.append((flag.dims, k.args[1].dims))
-            return verdict(n, k, flag, *rest)
+        def spy(k, flag, *rest):
+            asked.append((flag.dims, k))
+            return verdict(k, flag, *rest)
 
-        monkeypatch.setattr(oracle, "_flag_verdict", spy)
+        monkeypatch.setattr(oracle, "is_spherical_flag", spy)
         f1, f2 = FlagType(dims1, 4), FlagType(dims2, 4)
         c = product_flag_complexity(4, f1, f2, seed=3)
         restricting = dims2 if scanned == dims1 else dims1
-        assert asked == [(scanned, restricting)]
+        [(dims, borel)] = asked
+        assert dims == scanned
+        assert np.array_equal(borel, levi_borel(4, FlagType(restricting, 4)))
         assert c == stacked_product_verdict(4, f1, f2, 5, 3).complexity
 
 
@@ -415,15 +431,16 @@ class TestResidues:
     @staticmethod
     def _check(borel, flag, seed, samples=3):
         rng = np.random.default_rng(seed)
-        points = [sample_flag_point(flag, rng) for _ in range(samples)]
-        got = _flag_residues(borel, points, flag)
-        exact = _flag_residues(borel, points, flag, None)
-        assert got.shape == exact.shape == (samples, flag.dim(), len(borel))
-        assert got.dtype == np.int64
-        for s, x in enumerate(points):
+        array = oracle._borel_array(borel, flag.ambient)
+        for _ in range(samples):
+            x = sample_flag_point(flag, rng)
+            got = _flag_residues(array, x)
+            exact = _flag_residues(array, x, None)
+            assert got.shape == exact.shape == (flag.dim(), len(borel))
+            assert got.dtype == np.int64
             want = _point_rows(borel, x)
-            assert exact[s].tolist() == want
-            assert got[s].tolist() == [[e % MOD_PRIME for e in row] for row in want]
+            assert exact.tolist() == want
+            assert got.tolist() == [[e % MOD_PRIME for e in row] for row in want]
 
     @pytest.mark.parametrize(
         "k", list(_algebras()), ids=lambda k: "%s%d" % (k.meta["type"], k.n)
@@ -456,11 +473,11 @@ class TestResidues:
 
     def test_empty_borel(self):
         flag = FlagType((1, 2), 4)
-        rng = np.random.default_rng(0)
-        points = [sample_flag_point(flag, rng) for _ in range(2)]
+        x = sample_flag_point(flag, np.random.default_rng(0))
+        empty = oracle._borel_array([], 4)
         for p in (MOD_PRIME, None):
-            got = _flag_residues([], points, flag, p)
-            assert got.shape == (2, flag.dim(), 0)
+            got = _flag_residues(empty, x, p)
+            assert got.shape == (flag.dim(), 0)
         v = is_spherical_flag([], flag, seed=1)
         assert v.kind == "ProbablyNo" and v.rank == 0
 
@@ -473,18 +490,18 @@ class TestResidues:
             [[int((a, c) == divmod(e, n)) for c in range(n)] for a in range(n)]
             for e in range(n * n)
         ]
+        units = oracle._borel_array(units, n)
         rng = np.random.default_rng(n)
         for length in range(1, n):
             for dims in itertools.combinations(range(1, n), length):
                 flag = FlagType(dims, n)
                 x = FlagPoint.standard(flag)
-                rows = _flag_residues(units, [x], flag, None)[0].tolist()
+                rows = _flag_residues(units, x, None).tolist()
                 entries = [row.index(1) for row in rows]
                 assert all(sum(row) == 1 for row in rows), dims
                 assert len(set(entries)) == len(entries) == flag.dim(), dims
-                points = [sample_flag_point(flag, rng)]
-                got = _flag_residues(gl_borel(n), points, flag)
-                assert got.shape[1] == flag.dim(), dims
+                got = _flag_residues(gl_borel(n), sample_flag_point(flag, rng))
+                assert got.shape[0] == flag.dim(), dims
 
     def test_array_borel_gives_exact_rows(self):
         # entries of L^-1 for the full flag of C^7 pass 2^63 at the full
@@ -494,8 +511,9 @@ class TestResidues:
         assert array.dtype == np.int64 and array.tolist() == lists
         full = FlagType(tuple(range(1, 7)), 7)
         x = sample_flag_point(full, np.random.default_rng(7))
-        rows = _flag_residues(array, [x], full, None)[0].tolist()
-        assert rows == _flag_residues(lists, [x], full, None)[0].tolist()
+        rows = _flag_residues(array, x, None).tolist()
+        from_lists = _flag_residues(oracle._borel_array(lists, 7), x, None)
+        assert rows == from_lists.tolist()
         assert all(type(e) is int for row in rows for e in row)
         assert max(abs(e) for row in rows for e in row) >= 2**63
         assert rows == _point_rows(lists, x)
@@ -669,15 +687,17 @@ class TestExactRank:
 
     @staticmethod
     def _record(monkeypatch):
-        """Spy on the scan: per call, the exact-row callback, the samples
-        ranked, the samples whose exact rows were formed, those rows, and
-        the rows Bareiss ranked.  A scan that ends in ProbablyNo without
-        forming exact rows stopped early at its newest sample."""
+        """Spy on the scan: per call, the row callback, the points drawn, the
+        samples ranked mod p, the samples whose exact rows were formed,
+        those rows, and the rows Bareiss ranked.  A scan that ends in
+        ProbablyNo without forming exact rows stopped early at its newest
+        sample."""
         calls, scan, exact = [], oracle._scan, oracle.rank_exact
 
-        def scan_spy(target, residues, exact_rows, *rest):
+        def scan_spy(borel, scalars, target, draw, rows, *rest):
             call = {
-                "exact_rows": exact_rows,
+                "point_rows": rows,
+                "drawn": [],
                 "ranked": [],
                 "formed": [],
                 "rows": [],
@@ -685,16 +705,21 @@ class TestExactRank:
             }
             calls.append(call)
 
-            def ranked(i):
-                call["ranked"].append(i)
-                return residues(i)
+            def drawn(rng):
+                call["drawn"].append(draw(rng))
+                return call["drawn"][-1]
 
-            def formed(i):
-                call["formed"].append(i)
-                call["rows"].append(exact_rows(i))
-                return call["rows"][-1]
+            def counted(x, p):
+                i = next(i for i, y in enumerate(call["drawn"]) if y is x)
+                out = rows(x, p)
+                if p is None:
+                    call["formed"].append(i)
+                    call["rows"].append(out)
+                else:
+                    call["ranked"].append(i)
+                return out
 
-            return scan(target, ranked, formed, *rest)
+            return scan(borel, scalars, target, drawn, counted, *rest)
 
         def exact_spy(rows):
             calls[-1]["bareiss"].append(rows)
@@ -708,13 +733,16 @@ class TestExactRank:
     def _check(calls, verdicts):
         proved = early = 0
         for call, v in zip(calls, verdicts, strict=True):
-            # a scan forms exact rows once at most, for its best sample,
-            # and Bareiss ranks exactly those rows
+            # a scan ranks each point it draws once, in order; it forms
+            # exact rows once at most, for its best sample, and Bareiss
+            # ranks exactly those rows
+            assert call["ranked"] == list(range(len(call["drawn"])))
             assert len(call["formed"]) <= 1
             assert call["bareiss"] == [r.tolist() for r in call["rows"]]
             if v.kind == "ProbablyNo":
                 index = (call["formed"] or call["ranked"])[-1]
-                rows = call["exact_rows"](index).tolist()
+                x = call["drawn"][index]
+                rows = call["point_rows"](x, None).tolist()
                 assert v.rank == rank_exact(rows)
                 proved += 1
                 early += len(call["ranked"]) < v.samples
@@ -731,7 +759,7 @@ class TestExactRank:
             for a, b in itertools.combinations_with_replacement(ms, 2):
                 f1, f2 = canonical_flag(a, n), canonical_flag(b, n)
                 for x, y in ((f1, f2), (f2, f1)):
-                    yield n, partial(levi_borel, n, y), x
+                    yield levi_borel(n, y), x
 
     @staticmethod
     def _criterion_cases():
@@ -742,20 +770,20 @@ class TestExactRank:
             key = (d.factors, d.trivial)
             if key not in cache:
                 cache[key] = datum_algebra(d)
-            yield d.flag.ambient, cache[key], d.flag
+            yield cache[key], d.flag
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_product_and_levi_pairs(self, monkeypatch, seed):
         calls, verdicts = self._record(monkeypatch), []
-        for n, borel, flag in self._pair_cases():
-            verdicts.append(oracle._flag_verdict(n, borel, flag, 5, seed))
+        for borel, flag in self._pair_cases():
+            verdicts.append(is_spherical_flag(borel, flag, 5, seed))
         proved, early = self._check(calls, verdicts)
         assert proved > 100 and early > 100
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_criterion_1_probably_no(self, monkeypatch, seed):
         calls, verdicts = self._record(monkeypatch), []
-        for n, k, flag in self._criterion_cases():
+        for k, flag in self._criterion_cases():
             verdicts.append(is_spherical_flag(k, flag, seed=seed))
         proved, early = self._check(calls, verdicts)
         assert proved > 100 and early > 100
@@ -767,7 +795,7 @@ class TestExactRank:
         self, monkeypatch, cases, box, seed
     ):
         """The verdict's rank is the largest mod-p rank of all five samples,
-        drawn and formed at once by _flag_residues, however few the scan
+        drawn up front and ranked here one by one, however few the scan
         ranked.  At box 1 many samples fall below the generic rank, so a
         scan that stopped too soon would report less than the maximum.
         The call itself draws the points of the samples it ranks and no
@@ -780,18 +808,20 @@ class TestExactRank:
             drawn.append(args[0])
             return draw(*args)
 
-        for n, k, flag in getattr(self, cases)():
+        for k, flag in getattr(self, cases)():
             drawn.clear()
             monkeypatch.setattr(oracle, "sample_flag_point", counted)
-            v = oracle._flag_verdict(n, k, flag, 5, seed)
+            v = is_spherical_flag(k, flag, 5, seed)
             monkeypatch.setattr(oracle, "sample_flag_point", draw)
             ranked = calls[-1]["ranked"]
             assert drawn == [flag] * len(ranked)
             rng = np.random.default_rng(seed)
             points = [sample_flag_point(flag, rng) for _ in range(5)]
-            borel = k() if callable(k) else k
-            borel = getattr(borel, "borel_basis", borel)
-            ranks = [rank_modp(r) for r in _flag_residues(borel, points, flag)]
+            assert [x.g for x in calls[-1]["drawn"]] == [
+                x.g for x in points[: len(ranked)]
+            ]
+            borel = oracle._borel_array(k, flag.ambient)
+            ranks = [rank_modp(_flag_residues(borel, x)) for x in points]
             assert ranked == list(range(len(ranked)))
             before = max((ranks[i] for i in ranked[:-1]), default=-1)
             if v.kind == "Yes":
@@ -808,14 +838,14 @@ class TestExactRank:
     def test_yes_at_the_first_sample_forms_its_residues_alone(self, monkeypatch):
         formed, residues = [], oracle._flag_residues
 
-        def spy(borel, points, flag, *p):
-            formed.append(len(points))
-            return residues(borel, points, flag, *p)
+        def spy(borel, x, p=MOD_PRIME):
+            formed.append(p)
+            return residues(borel, x, p)
 
         monkeypatch.setattr(oracle, "_flag_residues", spy)
         full = FlagType(tuple(range(1, 8)), 8)
         v = is_spherical_flag(make_algebra("sl", 8), full, samples=20)
-        assert v.kind == "Yes" and formed == [1]
+        assert v.kind == "Yes" and formed == [MOD_PRIME]
 
     def test_yes_at_the_first_sample_draws_its_point_alone(self, monkeypatch):
         drawn, draw = [], oracle.sample_flag_point
@@ -829,12 +859,39 @@ class TestExactRank:
         v = is_spherical_flag(make_algebra("sl", 8), full, samples=1000)
         assert v.kind == "Yes" and drawn == [full]
 
+    def test_a_module_yes_at_the_first_sample_draws_one_point(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        factors, spec = parse_algebra_module("sl(3) on C3")
+        v = is_spherical_module([make_algebra(*f) for f in factors], spec, samples=1000)
+        call = calls[-1]
+        assert v.kind == "Yes" and v.certificate is call["drawn"][0]
+        assert len(call["drawn"]) == 1
+        assert (call["ranked"], call["formed"]) == ([0], [])
+
+    @pytest.mark.parametrize("seed, stop", [(4, 2), (18, 3)])
+    def test_a_module_scan_draws_up_to_its_stop(self, monkeypatch, seed, stop):
+        # at box 1 many points of so(5) on C5+C5 rank below R = 7; the
+        # first of these seeds' samples to reach it is `stop`, and the scan
+        # draws and ranks that sample and those before it, and no more
+        monkeypatch.setattr(oracle, "COEFF_BOX", 1)
+        calls = self._record(monkeypatch)
+        factors, spec = parse_algebra_module("so(5) on C5+C5")
+        v = is_spherical_module([make_algebra(*f) for f in factors], spec, seed=seed)
+        call = calls[-1]
+        rng = np.random.default_rng(seed)
+        points = [rng.integers(-1, 2, size=10).tolist() for _ in range(5)]
+        ranks = [rank_modp(call["point_rows"](w, MOD_PRIME)) for w in points]
+        assert ranks.index(7) == stop
+        assert (v.kind, v.rank, v.target) == ("ProbablyNo", 7, 10)
+        assert call["drawn"] == points[: stop + 1]
+        assert (call["ranked"], call["formed"]) == (list(range(stop + 1)), [])
+
     @pytest.mark.parametrize("cases", ["_pair_cases", "_criterion_cases"])
     def test_bareiss_runs_once_and_only_without_a_stop(self, monkeypatch, cases):
         calls = self._record(monkeypatch)
         stops = ends = 0
-        for n, k, flag in getattr(self, cases)():
-            v = oracle._flag_verdict(n, k, flag, 5, 3)
+        for k, flag in getattr(self, cases)():
+            v = is_spherical_flag(k, flag, 5, 3)
             call = calls[-1]
             # Bareiss runs exactly when exact rows were formed, on them
             assert len(call["bareiss"]) == len(call["formed"]) <= 1
@@ -949,9 +1006,9 @@ class TestMaxRank:
     def test_module_scalar_already_in_the_representation(self, monkeypatch):
         bounds, scan = [], oracle._scan
 
-        def spy(target, residues, exact_rows, certificate, max_rank, *rest):
-            bounds.append((len(exact_rows(0)[0]), max_rank()))
-            return scan(target, residues, exact_rows, certificate, max_rank, *rest)
+        def spy(borel, scalars, *rest):
+            bounds.append((len(borel), oracle._max_rank(borel, scalars)))
+            return scan(borel, scalars, *rest)
 
         monkeypatch.setattr(oracle, "_scan", spy)
         for text in ("gl(3) on C3+C3", "sl(3) on C3+C3"):
@@ -988,5 +1045,5 @@ class TestMaxRank:
         assert is_spherical_module([make_algebra(*f) for f in factors], spec)
         assert asked == []
         full = FlagType((1, 2, 3), 4)
-        v = oracle._flag_verdict(4, partial(levi_borel, 4, full), full, 5, 2)
+        v = is_spherical_flag(levi_borel(4, full), full, 5, 2)
         assert not v and asked == [True]
