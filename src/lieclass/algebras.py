@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
+from operator import index
 
 import numpy as np
 
@@ -160,7 +161,7 @@ def _form_basis(n, signs):
 
 
 def make_algebra(tag, n):
-    n = int(n)
+    n = index(n)
     check_matrix_size(n)
     if tag in ("gl", "sl") and n < 1:
         raise BadParameter("%s needs n >= 1" % tag)

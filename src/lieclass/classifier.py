@@ -5,7 +5,8 @@ acting blockwise on the ambient space (each factor on its natural module)
 plus optional trivial one-dimensional summands.  The verdict is computed
 purely combinatorially:
 
-  * flags are normalized by their step multiset (cotangent equivalence);
+  * a flag is read through its step partition (its cotangent-equivalence
+    class), and the cases match on its parts, a weakly decreasing tuple;
   * flags equivalent to the projective space delegate to the module table
     with the maximal torus of summand scalars;
   * everything else is matched against the encoded Grassmannian and
@@ -18,24 +19,25 @@ the Monte Carlo oracle probes exactly the same group.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
+from operator import index
 
 from .errors import BadParameter, MismatchedSize, UnsupportedShape
-from .partitions import FlagType
+from .partitions import FlagType, Partition, step_partition
 
 # The matrix models, the table and the oracle are imported by the functions
 # that use them: the case lists alone need no numpy.
 
 
 class ClassificationDatum:
-    """Flag dims + factor list (tag, size) + count of trivial summands."""
+    """Flag dims + factor list (tag, size) + count of trivial summands, read
+    with operator.index (a float raises TypeError), and the one FlagType."""
 
-    __slots__ = ("dims", "factors", "trivial", "ambient")
+    __slots__ = ("flag", "dims", "factors", "trivial", "ambient")
 
     def __init__(self, dims, factors, trivial=0):
-        self.factors = tuple((tag, int(size)) for tag, size in factors)
-        self.trivial = int(trivial)
+        self.factors = tuple((tag, index(size)) for tag, size in factors)
+        self.trivial = index(trivial)
         if self.trivial < 0:
             raise BadParameter("trivial summand count must be >= 0")
         for tag, size in self.factors:
@@ -48,12 +50,8 @@ class ClassificationDatum:
             if tag == "sp" and (size < 2 or size % 2):
                 raise BadParameter("sp factor needs even size >= 2")
         self.ambient = sum(s for _, s in self.factors) + self.trivial
-        flag = FlagType(dims, self.ambient)  # validates the dims
-        self.dims = flag.dims
-
-    @property
-    def flag(self):
-        return FlagType(self.dims, self.ambient)
+        self.flag = FlagType(dims, self.ambient)
+        self.dims = self.flag.dims
 
     def __repr__(self):
         return "ClassificationDatum(dims=%r, factors=%r, trivial=%d)" % (
@@ -92,11 +90,6 @@ def _canon_factors(factors, trivial):
         else:
             out.append((tag, size))
     return out, t
-
-
-def _steps(dims, n):
-    exts = (0,) + tuple(dims) + (n,)
-    return Counter(exts[i + 1] - exts[i] for i in range(len(exts) - 1))
 
 
 def _slot_ok(slot, factor):
@@ -140,11 +133,11 @@ _TRIV = ("triv",)
 
 
 def _two(step):
-    return lambda s, n: len(list(s.elements())) == 2 and s[step] >= 1
+    return lambda s, n: len(s) == 2 and step in s
 
 
 def _any2(s, n):
-    return len(list(s.elements())) == 2
+    return len(s) == 2
 
 
 def _any(s, n):
@@ -173,19 +166,19 @@ _GR_CASES = [
 
 
 def _len3_with_1(s, n):
-    return len(list(s.elements())) == 3 and s[1] >= 1
+    return len(s) == 3 and 1 in s
 
 
 def _len3(s, n):
-    return len(list(s.elements())) == 3
+    return len(s) == 3
 
 
 def _fl123(s, n):
-    return s == _steps((1, 2, 3), n)
+    return s == (n - 3, 1, 1, 1)
 
 
 def _fl12(s, n):
-    return s == _steps((1, 2), n)
+    return s == (n - 2, 1, 1)
 
 
 _MULTI_CASES = [
@@ -200,11 +193,14 @@ _MULTI_CASES = [
 ]
 
 
-def _match(cases, factors, trivial, steps, n, prefix=""):
+def _match(cases, d, parts, prefix=""):
+    """The first case whose predicate holds on the parts s and the ambient n
+    and whose slots the datum's factors fill; else absent-from-list."""
+    factors, trivial = _canon_factors(d.factors, d.trivial)
     for case_id, slots, pred in cases:
-        if pred(steps, n) and _assign(tuple(slots), tuple(factors), trivial):
+        if pred(parts, d.ambient) and _assign(tuple(slots), tuple(factors), trivial):
             return ClassificationVerdict(True, prefix + case_id)
-    return None
+    return ClassificationVerdict(False, reason="absent-from-list")
 
 
 @lru_cache(maxsize=1024)
@@ -233,47 +229,39 @@ def _projective_verdict(d: ClassificationDatum) -> ClassificationVerdict:
 
 
 def classify_flag_datum(d: ClassificationDatum) -> ClassificationVerdict:
+    """Match the step partition's parts: (n - 1, 1) is P(V), at n = 2 too;
+    two parts take the Grassmannian cases (prefix I-), more the multi-step."""
     n = d.ambient
-    steps = _steps(d.dims, n)
-    if steps == Counter({1: 2} if n == 2 else {1: 1, n - 1: 1}):
+    parts = step_partition(d.flag).parts
+    if parts == (n - 1, 1):
         return _projective_verdict(d)
-    factors, trivial = _canon_factors(d.factors, d.trivial)
-    if len(list(steps.elements())) == 2:
-        hit = _match(_GR_CASES, factors, trivial, steps, n, prefix="I-")
-    else:
-        hit = _match(_MULTI_CASES, factors, trivial, steps, n)
-    if hit is not None:
-        return hit
-    return ClassificationVerdict(False, reason="absent-from-list")
+    if len(parts) == 2:
+        return _match(_GR_CASES, d, parts, prefix="I-")
+    return _match(_MULTI_CASES, d, parts)
 
 
 def classify_grassmannian(r, d: ClassificationDatum) -> ClassificationVerdict:
-    n = d.ambient
+    """The Grassmannian of r-planes in the datum's ambient: P(V) for r = 1,
+    else the Grassmannian cases on the parts (n - r, r), unprefixed."""
+    n, r = d.ambient, index(r)
     if r == 1:
         return _projective_verdict(d)
     if not 2 <= r <= n // 2:
         raise BadParameter("need 2 <= r <= n/2")
-    factors, trivial = _canon_factors(d.factors, d.trivial)
-    steps = Counter((r, n - r))
-    hit = _match(_GR_CASES, factors, trivial, steps, n)
-    if hit is not None:
-        return hit
-    return ClassificationVerdict(False, reason="absent-from-list")
+    return _match(_GR_CASES, d, (n - r, r))
 
 
 def product_flags_spherical(steps1, steps2) -> bool:
     """Membership in the list of spherical products of two flag varieties,
     by unordered pair of step multisets.  A multiset of one step is the
-    point G/G, not a flag variety, and is refused as FlagType refuses it."""
-    a = sorted(steps1)
-    b = sorted(steps2)
-    if min(a + b, default=0) < 1:
-        raise BadParameter("flag steps must be at least 1")
+    point G/G, not a flag variety, and is refused as FlagType refuses it;
+    Partition refuses a step below 1."""
+    a, b = Partition.of_multiset(steps1), Partition.of_multiset(steps2)
     if min(len(a), len(b)) < 2:
         raise BadParameter("a flag needs at least two steps")
-    if sum(a) != sum(b):
+    if a.n != b.n:
         raise MismatchedSize("step multisets must sum to the same total")
-    for x, y in ((a, b), (b, a)):
+    for x, y in ((a.parts, b.parts), (b.parts, a.parts)):
         if len(x) == 2 and len(y) == 2:
             return True
         if len(x) == 2 and len(y) == 3 and 1 in y:

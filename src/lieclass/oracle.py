@@ -77,6 +77,7 @@ would pass MAX_CELLS is refused with TooLarge before anything is drawn.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from operator import index
 
 import numpy as np
 
@@ -90,6 +91,7 @@ from .algebras import (
     representation,
 )
 from .errors import (
+    BadParameter,
     BadSampleCount,
     DimensionMismatch,
     NoMatrixModel,
@@ -113,11 +115,13 @@ def _check_cells(cells):
         raise TooLarge("%d int64 cells exceed the bound %d" % (cells, MAX_CELLS))
 
 
-def _check_samples(samples):
+def _check_draws(samples, seed):
     if samples < 1:
         raise BadSampleCount("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise TooLarge("samples must be <= %d" % MAX_SAMPLES)
+    if index(seed) < 0:
+        raise BadParameter("seed must be >= 0, got %d" % seed)
 
 
 class FlagPoint:
@@ -343,7 +347,7 @@ def is_spherical_flag(
     """Open-Borel-orbit test on the flag variety of `flag`: the Borel of k
     (an algebra or a bare Borel basis) acting on C^n, n the flag's
     ambient.  Every check comes before the first draw."""
-    _check_samples(samples)
+    _check_draws(samples, seed)
     n = flag.ambient
     check_matrix_size(n)
     borel = _borel_array(k, n)
@@ -371,7 +375,7 @@ def is_spherical_module(
 
     k is either a list of factors with a ModuleSpec, or an already-built
     representation algebra (spec omitted)."""
-    _check_samples(samples)
+    _check_draws(samples, seed)
     if isinstance(k, CatalogAlgebra) and spec is None:
         rep = k
     else:
@@ -408,22 +412,21 @@ def levi_borel(n, flag: FlagType):
     units E_ij of gl_borel(n) with i and j in one block, in its order."""
     if flag.ambient != n:
         raise DimensionMismatch("flag ambient does not match n")
-    block = np.searchsorted(flag.dims, np.arange(n), side="right")
+    block = np.repeat(np.arange(len(flag.steps)), flag.steps)
     i, j = np.triu_indices(n)
     return gl_borel(n)[block[i] == block[j]]
 
 
 def _levi_borel_dim(flag: FlagType):
     """Dimension of levi_borel(n, flag): sum b (b + 1) / 2 over its blocks b."""
-    blocks = np.diff((0, *flag.dims, flag.ambient))
-    return int((blocks * (blocks + 1) // 2).sum())
+    return sum(b * (b + 1) // 2 for b in flag.steps)
 
 
 def _levi_verdict(g_n, f1, f2, samples, seed):
     """The scan of f1 under the Borel of f2's Levi.  The checks keep the
-    order of the other flag entry points: samples, both ambients, the size
-    bound, and only then the Levi Borel is built."""
-    _check_samples(samples)
+    order of the other flag entry points: samples and seed, both ambients,
+    the size bound, and only then the Levi Borel is built."""
+    _check_draws(samples, seed)
     if f1.ambient != g_n or f2.ambient != g_n:
         raise DimensionMismatch("flag ambients must equal %d" % g_n)
     check_matrix_size(g_n)

@@ -1,9 +1,11 @@
 """Partition calculus for partial flag varieties and nilpotent orbits.
 
-A partial flag variety Fl(n1,...,ns; C^n) is recorded only through its
-dimension vector.  Its step partition (the multiset of consecutive dimension
-jumps) determines the associated Richardson orbit via partition conjugation,
-and two flag varieties are cotangent-equivalent exactly when their step
+A partial flag variety Fl(n1,...,ns; C^n) is recorded through its
+dimension vector, whose differences FlagType takes once, into its steps
+(n1, n2 - n1, ..., n - ns): the block sizes of the flag's Levi, and the
+one source of them.  The step partition (the steps as a multiset)
+determines the associated Richardson orbit via partition conjugation, and
+two flag varieties are cotangent-equivalent exactly when their step
 multisets agree.  The closure order on nilpotent orbits is the dominance
 order on partitions, so "higher/lower" between flag varieties reduces to
 dominance between Richardson partitions.
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import enum
 from functools import total_ordering
+from itertools import accumulate
+from operator import index
 
 from .errors import BadParameter, MismatchedSize, TooLarge
 
@@ -24,12 +28,13 @@ MAX_AMBIENT = 10_000
 
 @total_ordering
 class Partition:
-    """A weakly decreasing sequence of positive integers."""
+    """A weakly decreasing sequence of positive integers, read with
+    operator.index: a float or Fraction part raises TypeError."""
 
     __slots__ = ("parts", "n")
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(index(p) for p in parts)
         if any(p < 1 for p in parts):
             raise BadParameter("partition parts must be positive: %r" % (parts,))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -70,40 +75,40 @@ class Partition:
 
 
 class FlagType:
-    """Dimension vector 0 < n1 < ... < ns < n of a partial flag variety."""
+    """Dimension vector 0 < n1 < ... < ns < n of a partial flag variety, read
+    with operator.index, and its steps (n1, n2 - n1, ..., n - ns) in order."""
 
-    __slots__ = ("dims", "ambient")
+    __slots__ = ("dims", "ambient", "steps")
 
     def __init__(self, dims, ambient):
-        dims = tuple(int(d) for d in dims)
-        ambient = int(ambient)
+        dims = tuple(index(d) for d in dims)
+        ambient = index(ambient)
         if ambient > MAX_AMBIENT:
             raise TooLarge(
                 "flag ambient %d exceeds the bound %d" % (ambient, MAX_AMBIENT)
             )
         if not dims:
             raise BadParameter("flag needs at least one subspace dimension")
-        if dims[0] < 1 or dims[-1] >= ambient:
-            raise BadParameter("flag dims must satisfy 0 < n1, ns < n")
-        if any(dims[i] >= dims[i + 1] for i in range(len(dims) - 1)):
-            raise BadParameter("flag dims must strictly increase: %r" % (dims,))
+        ext = (0,) + dims + (ambient,)
+        steps = tuple(ext[i + 1] - ext[i] for i in range(len(dims) + 1))
+        if min(steps) < 1:
+            raise BadParameter(
+                "flag dims %r must satisfy 0 < n1 < ... < ns < %d" % (dims, ambient)
+            )
         self.dims = dims
         self.ambient = ambient
+        self.steps = steps
 
     def dim(self):
-        """Dimension of the flag variety: sum n_i * (n_{i+1} - n_i)."""
-        ext = self.dims + (self.ambient,)
-        return sum(ext[i] * (ext[i + 1] - ext[i]) for i in range(len(self.dims)))
+        """Dimension of the flag variety: (n^2 - sum s^2) / 2 over steps s."""
+        return (self.ambient**2 - sum(s * s for s in self.steps)) // 2
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FlagType)
-            and self.dims == other.dims
-            and self.ambient == other.ambient
-        )
+        # the ordered steps fix the dims (their partial sums) and the ambient
+        return isinstance(other, FlagType) and self.steps == other.steps
 
     def __hash__(self):
-        return hash((self.dims, self.ambient))
+        return hash(self.steps)
 
     def __repr__(self):
         return "FlagType(%r, %d)" % (self.dims, self.ambient)
@@ -117,9 +122,9 @@ class FlagOrderRelation(enum.Enum):
 
 
 def step_partition(f: FlagType) -> Partition:
-    """Multiset {n1, n2-n1, ..., n-ns} as a partition."""
-    ext = (0,) + f.dims + (f.ambient,)
-    return Partition.of_multiset(ext[i + 1] - ext[i] for i in range(len(ext) - 1))
+    """The steps {n1, n2-n1, ..., n-ns} as a multiset: the partition of n
+    that fixes the Richardson orbit, on whose parts the classifier matches."""
+    return Partition.of_multiset(f.steps)
 
 
 def richardson_partition(f: FlagType) -> Partition:
@@ -176,13 +181,8 @@ def canonical_flag(steps, ambient=None) -> FlagType:
     Rebuilds a dimension vector from the step multiset sorted ascending, so
     e.g. steps {1,1,3} of ambient 5 give Fl(1,2;C^5).
     """
-    steps = sorted(int(s) for s in steps)
+    steps = sorted(index(s) for s in steps)
     n = sum(steps)
     if ambient is not None and ambient != n:
         raise MismatchedSize("steps sum to %d, ambient is %d" % (n, ambient))
-    dims = []
-    acc = 0
-    for s in steps[:-1]:
-        acc += s
-        dims.append(acc)
-    return FlagType(tuple(dims), n)
+    return FlagType(accumulate(steps[:-1]), n)

@@ -11,8 +11,13 @@ module.
 _match_block is the one statement of the table: it returns the id of the
 entry a block matches (0, i-1..i-6, ii-1..ii-6, iii-1..iii-17) with the
 centers attached to it.  The table's entries for spin representations, G2,
-E6 and the triality of so_8 have no matrix constructors, so they can never
-arise from a ModuleSpec and are not matched.
+E6 and the triality of so_8 have no matrix constructors and are not matched
+as such, though a spin module can arise from a ModuleSpec: sp(4) on C4 is
+the spin module of so(5) = sp(4), and matches i-3.  Two low-rank
+isomorphisms are not matched, so their blocks read "block not in table"
+while the oracle proves both spherical (open, ROADMAP.md direction 3):
+wedge2 of sl(3) = C3* beside another summand (sl(3) on C3+wedge2 is iii-3's
+C3+C3*), and wedge2 of so(3) = C3, the adjoint (so(3) on wedge2).
 """
 
 from __future__ import annotations

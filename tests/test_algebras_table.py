@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ class TestMakeAlgebra:
             make_algebra("sp", 5)
         with pytest.raises(BadParameter):
             make_algebra("so", 2)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, Fraction(4), "4"])
+    def test_a_non_integer_size_raises(self, n):
+        with pytest.raises(TypeError):
+            make_algebra("sl", n)
+
+    def test_a_numpy_integer_size_passes(self):
+        k = make_algebra("sp", np.int64(4))
+        assert type(k.n) is int and k.meta["factors"] == (("sp", 4),)
 
     def test_direct_sum(self):
         k = direct_sum(make_algebra("sl", 2), make_algebra("sp", 4))

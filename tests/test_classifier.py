@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from lieclass import classifier
@@ -34,6 +37,28 @@ class TestDatum:
             ClassificationDatum((1,), [("sp", 3)])
         with pytest.raises(BadParameter):
             ClassificationDatum((1,), [("so", 2), ("sl", 2)])
+
+    @pytest.mark.parametrize(
+        "factors, trivial",
+        [
+            ([("sl", 2.9)], 0),
+            ([("sl", 2)], 0.5),
+            ([("sp", Fraction(4))], 0),
+            ([("so", 3.0)], 1),
+        ],
+    )
+    def test_a_non_integer_size_raises(self, factors, trivial):
+        # int() would ask about sl(2) with 0 trivial summands instead
+        with pytest.raises(TypeError):
+            ClassificationDatum((1,), factors, trivial)
+
+    def test_numpy_integer_sizes_pass(self):
+        d = ClassificationDatum(np.array([2]), [("sl", np.int64(3))], np.int32(1))
+        assert (d.dims, d.factors, d.trivial, d.ambient) == ((2,), (("sl", 3),), 1, 4)
+
+    def test_one_flag_is_kept(self):
+        d = ClassificationDatum((2,), [("sp", 4), ("sl", 3)])
+        assert d.flag is d.flag and d.flag.ambient == d.ambient
 
     def test_negative_trivial_count(self):
         # sl(4) plus -1 trivial summands would claim the ambient C^3
@@ -118,6 +143,13 @@ class TestGrassmannianClassifier:
         assert classify_grassmannian(1, d).case_id == "P(V)"
 
 
+    @pytest.mark.parametrize("r", [2.5, 2.0, Fraction(2)])
+    def test_a_non_integer_r_raises(self, r):
+        # 2 <= 2.5 <= 3 passed the range check, and Gr(2.5, C^6) read as case 1
+        with pytest.raises(TypeError):
+            classify_grassmannian(r, ClassificationDatum((1,), [("sl", 6)]))
+
+
 class TestGrassmannianTwoAlwaysCovered:
     def test_spherical_flags_imply_spherical_gr2(self):
         # every non-projective spherical datum stays spherical on Gr(2;V)
@@ -132,6 +164,31 @@ class TestGrassmannianTwoAlwaysCovered:
             assert classify_flag_datum(d)
             gr2 = ClassificationDatum((2,), d.factors, d.trivial)
             assert classify_flag_datum(gr2), d
+
+
+class TestGrassmannianAgreesWithFlags:
+    def test_every_datum_to_n8(self):
+        """classify_grassmannian(r, d) is the verdict on the one-step flag
+        (r,) of d's factors, its case id without the I- prefix; r = 1 is P(V)."""
+        from test_acceptance import small_data
+
+        count = 0
+        for d in small_data(range(2, 9)):
+            if d.dims != (1,):
+                continue  # one datum per (factors, trivial)
+            for r in range(1, d.ambient // 2 + 1):
+                gr = classify_grassmannian(r, d)
+                flag = classify_flag_datum(ClassificationDatum((r,), d.factors, d.trivial))
+                want = flag.case_id
+                if r == 1:
+                    assert want == "P(V)" or flag.reason == "P(V) module test failed"
+                elif flag.spherical:
+                    assert want.startswith("I-")
+                    want = want[2:]
+                got = (gr.spherical, gr.case_id, gr.reason)
+                assert got == (flag.spherical, want, flag.reason), (r, d)
+                count += 1
+        assert count == 277
 
 
 class TestProductFlags:

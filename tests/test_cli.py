@@ -125,6 +125,18 @@ class TestExitCodes:
         code, text = run_capture(["tuple", "1,notanumber"])
         assert code == 2 and text.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--k", "sl(4) on wedge2", "--seed", "-1"],
+            ["oracle", "--k", "sp(4)", "--dims", "1,2", "--seed", "-1"],
+            ["product", "--steps1", "2,3", "--steps2", "1,2,2", "--check", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_2(self, argv):
+        code, text = run_capture(argv)
+        assert (code, text) == (2, "error: seed must be >= 0, got -1\n")
+
     def test_short_tuple_is_2(self):
         code, _ = run_capture(["joseph", "sl", "2,1"])
         assert code == 2

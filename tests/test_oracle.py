@@ -15,7 +15,7 @@ from lieclass.algebras import (
 )
 from lieclass.classifier import ClassificationDatum, datum_algebra
 from lieclass.cli import parse_algebra_module
-from lieclass.errors import BadSampleCount, DimensionMismatch, TooLarge
+from lieclass.errors import BadParameter, BadSampleCount, DimensionMismatch, TooLarge
 from lieclass.oracle import (
     COEFF_BOX,
     FlagPoint,
@@ -628,6 +628,59 @@ class TestFlagValidation:
         call = _entry_point_calls(4, FlagType((1,), flag_n), samples)[entry]
         with pytest.raises(error):
             call()
+
+
+def _seeded_calls(seed, samples=5):
+    """The four oracle entry points, each asked a small question."""
+    gl4, line, plane = make_algebra("gl", 4), FlagType((1,), 4), FlagType((2,), 4)
+    return {
+        "is_spherical_flag": lambda: is_spherical_flag(gl4, line, samples, seed),
+        "is_spherical_module": lambda: is_spherical_module(
+            [make_algebra("sl", 4)], ModuleSpec([("wedge2", 0)]), True, samples, seed
+        ),
+        "product_flag_complexity": lambda: product_flag_complexity(
+            4, line, plane, samples, seed
+        ),
+        "levi_flag_complexity": lambda: levi_flag_complexity(
+            4, line, plane, samples, seed
+        ),
+    }
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("entry", sorted(_seeded_calls(0)))
+    def test_a_negative_seed_is_refused_before_the_scan(self, monkeypatch, entry):
+        def unscanned(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(oracle, "_scan", unscanned)
+        with pytest.raises(BadParameter, match="seed must be >= 0, got -1"):
+            _seeded_calls(-1)[entry]()
+        # the sample count is still reported first
+        with pytest.raises(BadSampleCount):
+            _seeded_calls(-1, samples=0)[entry]()
+
+    @pytest.mark.parametrize("entry", sorted(_seeded_calls(0)))
+    def test_a_numpy_seed_is_its_integer(self, entry):
+        a, b = _seeded_calls(7)[entry](), _seeded_calls(np.int64(7))[entry]()
+        if isinstance(a, OracleVerdict):
+            a, b = (a.kind, a.rank, a.seed), (b.kind, b.rank, b.seed)
+        assert a == b
+
+
+class TestLeviBorel:
+    def test_blocks_are_the_steps(self):
+        # reference: the block of index i is the number of dims <= i
+        for n in range(2, 7):
+            for length in range(1, n):
+                for dims in itertools.combinations(range(1, n), length):
+                    flag = FlagType(dims, n)
+                    block = np.searchsorted(dims, np.arange(n), side="right")
+                    i, j = np.triu_indices(n)
+                    want = gl_borel(n)[block[i] == block[j]]
+                    got = levi_borel(n, flag)
+                    assert np.array_equal(got, want), dims
+                    assert len(got) == oracle._levi_borel_dim(flag), dims
 
 
 class TestSizeBound:

@@ -1,5 +1,7 @@
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +63,51 @@ class TestPartition:
             FlagType((0, 2), 6)
         with pytest.raises(Exception):
             FlagType((2, 6), 6)
+
+    def test_steps_and_dim(self):
+        # the ordered steps are the differences of (0, dims, n), and dim is
+        # the sum of n_i (n_{i+1} - n_i), the count of the chart entries
+        for n in range(2, 8):
+            for f in all_flags(n):
+                ext = (0,) + f.dims + (n,)
+                diffs = tuple(b - a for a, b in zip(ext, ext[1:]))
+                assert f.steps == diffs
+                assert step_partition(f).parts == tuple(sorted(diffs, reverse=True))
+                assert f.dim() == sum(
+                    ext[i] * (ext[i + 1] - ext[i]) for i in range(1, len(ext) - 1)
+                )
+
+    @pytest.mark.parametrize("bad", [2.7, Fraction(5, 2), 2.0, "2"])
+    def test_a_non_integer_part_raises(self, bad):
+        with pytest.raises(TypeError):
+            Partition((bad, 1))
+
+    def test_numpy_integer_parts_pass(self):
+        p = Partition((np.int64(2), np.int32(1)))
+        assert p.parts == (2, 1) and all(type(x) is int for x in p.parts)
+
+
+class TestFlagTypeSizes:
+    @pytest.mark.parametrize(
+        "dims, ambient",
+        [((1.5,), 3), ((1,), 3.9), ((Fraction(1),), 3), ((1,), 3.0), (("1",), 3)],
+    )
+    def test_a_non_integer_size_raises(self, dims, ambient):
+        with pytest.raises(TypeError):
+            FlagType(dims, ambient)
+
+    def test_numpy_integers_pass(self):
+        f = FlagType(np.array([1, 3]), np.int64(5))
+        assert f == FlagType((1, 3), 5) and f.steps == (1, 2, 2)
+        assert all(type(x) is int for x in f.dims + f.steps + (f.ambient,))
+
+    @pytest.mark.parametrize("steps", [(1.5, 2), (Fraction(1), 2), (1.0, 2)])
+    def test_canonical_flag_refuses_a_non_integer_step(self, steps):
+        with pytest.raises(TypeError):
+            canonical_flag(steps)
+
+    def test_canonical_flag_takes_numpy_steps(self):
+        assert canonical_flag(np.array([2, 1, 1])) == FlagType((1, 2), 4)
 
 
 class TestDominance:
