@@ -39,7 +39,8 @@ from .errors import BadParameter, CapExceeded, MismatchedSize, TooLarge
 from .rank import rank_capped, rank_exact
 
 # at the bound, `lieclass oracle --k 'sl(32)'` with the full flag takes
-# about 1.3 s and 97 MB (2-core x86_64, Python 3.11)
+# about 0.7 s and 60 MB peak RSS in a fresh process (2-core x86_64,
+# Python 3.11.7, numpy 2.4.6)
 MAX_MATRIX_SIZE = 32
 
 

@@ -134,7 +134,14 @@ def parse_algebra_module(text):
 def _seed(args):
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("LIECLASS_SEED", "0"))
+    text = os.environ.get("LIECLASS_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise BadParameter("LIECLASS_SEED must be an integer >= 0, got %r" % text)
+    return seed
 
 
 def _emit(out, pairs):

@@ -26,6 +26,21 @@ from .errors import BadParameter, MismatchedSize, TooLarge
 MAX_AMBIENT = 10_000
 
 
+def partitions_of(n):
+    """All partitions of n, as weakly decreasing tuples, in reverse
+    lexicographic order: (n,) first, (1,) * n last."""
+
+    def gen(rest, cap):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, cap), 0, -1):
+            for tail in gen(rest - first, first):
+                yield (first,) + tail
+
+    return list(gen(n, n))
+
+
 @total_ordering
 class Partition:
     """A weakly decreasing sequence of positive integers, read with

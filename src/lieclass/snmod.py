@@ -27,25 +27,12 @@ from math import factorial
 
 from . import linalg
 from .errors import BadParameter, RelationViolation, TooLarge
+from .partitions import partitions_of
 from .rank import rank_exact
 
 _DECOMPOSE_CAP = 8
 _RING_CAP = 6
 _SPAN_CAP = 5
-
-
-def partitions_of(n):
-    """All partitions of n, as weakly decreasing tuples."""
-
-    def gen(rest, cap):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, cap), 0, -1):
-            for tail in gen(rest - first, first):
-                yield (first,) + tail
-
-    return list(gen(n, n))
 
 
 def _betas(shape):

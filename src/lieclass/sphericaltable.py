@@ -35,7 +35,7 @@ from .algebras import (
     scalar_on_summands,
     summand_scalars,
 )
-from .errors import UnrecognizedShape
+from .errors import BadParameter, UnrecognizedShape
 
 
 class Block:
@@ -353,7 +353,16 @@ def is_spherical_module_by_table(
     entry; centers="summands" adjoins every per-summand scalar instead,
     which answers whether ANY choice of center makes the module spherical
     (sphericity is monotone in the group, so the maximal torus of
-    summand scalars is decisive)."""
+    summand scalars is decisive).  The summand scalars span the overall
+    scalar, so with_scalar=False under "summands" raises BadParameter, as
+    does any other centers value."""
+    if centers not in ("entries", "summands"):
+        raise BadParameter("centers must be 'entries' or 'summands', got %r" % (centers,))
+    if centers == "summands" and not with_scalar:
+        raise BadParameter(
+            "the overall scalar cannot be left out with centers='summands': "
+            "the summand scalars sum to it"
+        )
     if isinstance(factors, CatalogAlgebra):
         factors = [factors]
     for f in factors:

@@ -4,10 +4,12 @@ facts, randomized suites with fixed seeds, and reproducibility."""
 import io
 import itertools
 import os
+import time
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
+import pytest
 
 from lieclass import cli, oracle
 from lieclass.algebras import ModuleSpec, gl_borel, make_algebra, representation
@@ -32,6 +34,7 @@ from lieclass.partitions import (
     dominance_leq,
     flag_order,
     orbit_dim,
+    partitions_of,
 )
 from lieclass.quivers import (
     QuiverSpec,
@@ -47,7 +50,6 @@ from lieclass.snmod import (
     direct_sum_rep,
     lsn_check,
     mn_character,
-    partitions_of,
     permutation_rep,
     pf_generators_span,
     sign_rep,
@@ -67,17 +69,6 @@ from lieclass.tuples import (
 )
 
 SEED = 20260823
-
-
-def int_partitions(n, maxpart=None):
-    if maxpart is None:
-        maxpart = n
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(n, maxpart), 0, -1):
-        for rest in int_partitions(n - p, p):
-            yield (p,) + rest
 
 
 def all_flags(n, max_len=None):
@@ -106,7 +97,7 @@ def small_data(ns=range(2, 8)):
             for length in (1, 2, 3)
             for dims in itertools.combinations(range(1, n), length)
         ]
-        for part in int_partitions(n):
+        for part in partitions_of(n):
             trivial = sum(1 for p in part if p == 1)
             big = [p for p in part if p >= 2]
             for assign in itertools.product(*(tags_for(p) for p in big)):
@@ -117,8 +108,10 @@ def small_data(ns=range(2, 8)):
 
 
 def _criterion_1_sweep(data):
+    """The number of data, and every datum on which the classifier and the
+    oracle disagree."""
     alg_cache = {}
-    count = 0
+    count, wrong = 0, []
     for d in data:
         verdict = classify_flag_datum(d)
         key = (d.factors, d.trivial)
@@ -127,17 +120,26 @@ def _criterion_1_sweep(data):
         found = is_spherical_flag(
             alg_cache[key], d.flag, samples=5, seed=SEED
         )
-        assert bool(verdict) == bool(found), (d, verdict, found)
+        if bool(verdict) != bool(found):
+            wrong.append((d, verdict, found))
         count += 1
-    return count
+    return count, wrong
 
 
 def test_criterion_1_classifier_oracle_agreement():
-    assert _criterion_1_sweep(small_data()) > 1000
+    assert _criterion_1_sweep(small_data()) == (1455, [])
 
 
 def test_criterion_1_classifier_oracle_agreement_n8():
-    assert _criterion_1_sweep(small_data([8])) == 1953
+    assert _criterion_1_sweep(small_data([8])) == (1953, [])
+
+
+@pytest.mark.ci
+def test_criterion_1_beyond_tier_1():
+    start = time.perf_counter()
+    sweeps = [_criterion_1_sweep(small_data([n])) for n in (9, 10)]
+    assert sweeps == [(3772, []), (6837, [])]
+    assert time.perf_counter() - start < 120
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +190,35 @@ class TestCriterion2OracleFacts:
 
 
 def step_multisets(n):
-    return [p for p in int_partitions(n) if len(p) >= 2]
+    return [p for p in partitions_of(n) if len(p) >= 2]
+
+
+def _criterion_3_sweep(n):
+    """The number of unordered pairs of step multisets of n, and every pair
+    on which product_flags_spherical and the oracle's complexity disagree."""
+    pairs = list(itertools.combinations_with_replacement(step_multisets(n), 2))
+    wrong = []
+    for a, b in pairs:
+        c = product_flag_complexity(
+            n, canonical_flag(a, n), canonical_flag(b, n), samples=5, seed=99
+        )
+        if (c == 0) != product_flags_spherical(a, b):
+            wrong.append((a, b, c))
+    return len(pairs), wrong
 
 
 def test_criterion_3_product_list_vs_oracle():
-    for n in range(2, 9):
-        ms = step_multisets(n)
-        for a, b in itertools.combinations_with_replacement(ms, 2):
-            c = product_flag_complexity(
-                n, canonical_flag(a, n), canonical_flag(b, n),
-                samples=5, seed=99,
-            )
-            assert (c == 0) == product_flags_spherical(a, b), (n, a, b, c)
+    # 426 pairs in all, 98 of them spherical
+    sweeps = [_criterion_3_sweep(n) for n in range(2, 9)]
+    assert sweeps == [(c, []) for c in (1, 3, 10, 21, 55, 105, 231)]
+
+
+@pytest.mark.ci
+def test_criterion_3_beyond_tier_1():
+    start = time.perf_counter()
+    sweeps = [_criterion_3_sweep(n) for n in range(9, 13)]
+    assert sweeps == [(c, []) for c in (435, 861, 1540, 2926)]
+    assert time.perf_counter() - start < 120
 
 
 def test_criterion_3_levi_scans_are_as_certain_as_stacked_ones(monkeypatch):
@@ -222,12 +241,7 @@ def test_criterion_3_levi_scans_are_as_certain_as_stacked_ones(monkeypatch):
 
     monkeypatch.setattr(oracle, "_scan", spy)
     for n in range(2, 9):
-        ms = step_multisets(n)
-        for a, b in itertools.combinations_with_replacement(ms, 2):
-            product_flag_complexity(
-                n, canonical_flag(a, n), canonical_flag(b, n),
-                samples=5, seed=99,
-            )
+        _criterion_3_sweep(n)
     assert (counts["Yes"], counts["ProbablyNo"]) == (98, 328)
     assert counts["early"] >= 274
 
@@ -343,7 +357,7 @@ class TestCriterion5PartitionFacts:
 
     def test_dominance_is_a_partial_order(self):
         for n in range(1, 13):
-            parts = [Partition(p) for p in int_partitions(n)]
+            parts = [Partition(p) for p in partitions_of(n)]
             for p in parts:
                 assert dominance_leq(p, p)
             for p in parts:
@@ -360,7 +374,7 @@ class TestCriterion5PartitionFacts:
 
     def test_orbit_dim_monotone_under_dominance(self):
         for n in range(1, 11):
-            parts = [Partition(p) for p in int_partitions(n)]
+            parts = [Partition(p) for p in partitions_of(n)]
             for p in parts:
                 for q in parts:
                     if dominance_leq(p, q):

@@ -316,6 +316,13 @@ class TestTableMatching:
         v = table([("so", 5)], [("natural", 0), ("natural", 0)])
         assert not v.spherical and v.reason == "block not in table"
 
+    @pytest.mark.parametrize(
+        "centers, with_scalar", [("summand", True), ("", True), ("summands", False)]
+    )
+    def test_options_it_would_ignore_raise(self, centers, with_scalar):
+        with pytest.raises(BadParameter):
+            table([("so", 5)], [("natural", 0)], centers, with_scalar)
+
     def test_unrecognized_factor(self):
         rep = representation(
             [make_algebra("sl", 2)], ModuleSpec([("natural", 0)])

@@ -63,18 +63,23 @@ def run_capture(argv):
     return code, buf.getvalue()
 
 
-def python_child(code, *args):
-    """Run code in a fresh interpreter that imports this lieclass."""
+def run_child(args, timeout):
+    """Run a fresh interpreter that imports this lieclass, with args."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(lieclass.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+    return subprocess.run(
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def python_child(code, *args):
+    """Run code in a fresh interpreter and return its output."""
+    proc = run_child(["-c", code, *args], timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -154,6 +159,12 @@ class TestExitCodes:
     def test_missing_dims_for_flag_oracle(self):
         code, _ = run_capture(["oracle", "--k", "sp(4)"])
         assert code == 2
+
+    def test_table_summand_centers_without_the_scalar_is_2(self):
+        code, text = run_capture(
+            ["table", "--k", "so(5) on C5", "--centers", "summands", "--no-scalar"]
+        )
+        assert code == 2 and text.startswith("error:")
 
     def test_dims_on_a_module_question_is_2(self):
         code, text = run_capture(["oracle", "--k", "sl(3) on C3", "--dims", "1"])
@@ -261,6 +272,78 @@ class TestSeedEnv:
             ["oracle", "--k", "sp(4)", "--dims", "1", "--seed", "7"]
         )
         assert "seed: 7" in text
+
+    @pytest.mark.parametrize("value", ["1.5", "abc", "-3"])
+    def test_bad_env_seed_is_2_and_named(self, monkeypatch, value):
+        monkeypatch.setenv("LIECLASS_SEED", value)
+        code, text = run_capture(["oracle", "--k", "sp(4)", "--dims", "1,2"])
+        assert (code, text) == (
+            2, "error: LIECLASS_SEED must be an integer >= 0, got %r\n" % value
+        )
+
+
+def cli_child(*argv):
+    return ["-m", "lieclass.cli", *argv]
+
+
+# Questions near the size caps, each asked in a fresh interpreter under a
+# wall-clock budget: (interpreter args, exit code, lines the output must
+# hold, budget in seconds).
+BUDGETED = [
+    (cli_child("product", "--steps1", "12,12", "--steps2", "6,6,6,6", "--check"),
+     0, ["complexity: 61"], 10),
+    # a scan that reaches the highest possible rank stops early
+    (cli_child("product", "--steps1", "16,16", "--steps2", "8,8,8,8", "--check"),
+     0, ["complexity: 113"], 10),
+    # a Yes at the first sample forms that sample's rows alone
+    (cli_child("oracle", "--k", "sl(30)", "--dims", ",".join(map(str, range(1, 30))),
+               "--samples", "20"),
+     0, ["verdict: Yes"], 10),
+    (cli_child("oracle", "--k", "so(20)", "--dims", "1,3,5,7,9"), 0, ["rank: 99"], 30),
+    # the slowest measured flag question at the size cap
+    (cli_child("oracle", "--k", "so(24)", "--dims", "1,3,5,7,9,11"), 0, ["rank: 143"], 90),
+    (cli_child("oracle", "--k", "so(16) on C16+C16"), 0, ["rank: 29"], 10),
+    (cli_child("oracle", "--k", "sp(16) on C16+C16"), 0, ["rank: 31"], 10),
+    *[
+        (cli_child("table", "--k", k), 0, ["spherical: yes"], 10)
+        for k in (
+            "sl(8) on wedge2",
+            "sl(4)+sl(8) on C4xC8",
+            "so(32) on C32",
+            "sp(32) on C32",
+            "sl(16)+sl(2) on C16xC2",
+        )
+    ],
+    (cli_child("classify", "--dims", "1", "--k", "so(16)+sp(16)"),
+     0, ["spherical: yes", "case: P(V)"], 10),
+    *[
+        (cli_child(*argv), 2, [], 10)
+        for argv in (
+            ["oracle", "--k", "sl(200)", "--dims", "1"],
+            ["product", "--steps1", "40,40", "--steps2", "40,40", "--check"],
+            ["order", "--flag1", "1", "--flag2", "2", "--n", "3000000"],
+            ["classify", "--dims", "1", "--k", "sl(2)", "--trivial", "3000000"],
+            ["classify", "--dims", "2", "--k", "sl(4)", "--trivial", "-1"],
+            ["count-simples", "--quiver", "A", "--n", "2", "--monodromy", "1/0"],
+            ["tuple", "1e99999999"],
+            ["odd-pair", ",".join("%d/2" % k for k in range(401, 0, -2))],
+        )
+    ],
+    # the group-ring span at n = 5, which the benchmark leaves out
+    (["-c", "from lieclass.snmod import pf_generators_span; print(pf_generators_span(5))"],
+     0, ["True"], 30),
+]
+
+
+@pytest.mark.ci
+@pytest.mark.parametrize(
+    "args, code, lines, budget", BUDGETED, ids=[" ".join(a)[:70] for a, *_ in BUDGETED]
+)
+def test_answered_within_budget(args, code, lines, budget):
+    proc = run_child(args, timeout=budget)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    out = proc.stdout.splitlines()
+    assert [line for line in lines if line not in out] == [], proc.stdout
 
 
 class TestParsers:

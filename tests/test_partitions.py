@@ -15,25 +15,11 @@ from lieclass.partitions import (
     dominance_leq,
     flag_order,
     orbit_dim,
+    partitions_of,
     richardson_partition,
     step_partition,
 )
-
-
-def partitions_of(n, maxp=None):
-    maxp = n if maxp is None else maxp
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(n, maxp), 0, -1):
-        for rest in partitions_of(n - p, p):
-            yield (p,) + rest
-
-
-def all_flags(n):
-    for length in range(1, n):
-        for dims in itertools.combinations(range(1, n), length):
-            yield FlagType(dims, n)
+from test_acceptance import all_flags
 
 
 partition_strategy = st.integers(1, 9).flatmap(
@@ -42,6 +28,18 @@ partition_strategy = st.integers(1, 9).flatmap(
 
 
 class TestPartition:
+    def test_partitions_of_counts_and_order(self):
+        # the counts are OEIS A000041; the seeded verdict digests number
+        # their calls in this order, the reverse lexicographic one
+        counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
+        for n, count in enumerate(counts):
+            parts = partitions_of(n)
+            assert len(parts) == len(set(parts)) == count, n
+            assert parts == sorted(parts, reverse=True), n
+            for p in parts:
+                assert type(p) is tuple and sum(p) == n and all(x >= 1 for x in p), p
+                assert all(a >= b for a, b in zip(p, p[1:])), p
+
     def test_conjugate_involution(self):
         for n in range(1, 9):
             for p in partitions_of(n):

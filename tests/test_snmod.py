@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from lieclass.errors import BadParameter, RelationViolation, TooLarge
+from lieclass.partitions import partitions_of
 from lieclass.snmod import (
     GroupAlgebraElement,
     SnRep,
@@ -15,7 +16,6 @@ from lieclass.snmod import (
     direct_sum_rep,
     lsn_check,
     mn_character,
-    partitions_of,
     permutation_rep,
     pf_generators_span,
     pf_ring_multiply,
