@@ -39,8 +39,8 @@ from .errors import BadParameter, CapExceeded, MismatchedSize, TooLarge
 from .rank import rank_capped, rank_exact
 
 # at the bound, `lieclass oracle --k 'sl(32)'` with the full flag takes
-# about 0.7 s and 60 MB peak RSS in a fresh process (2-core x86_64,
-# Python 3.11.7, numpy 2.4.6)
+# about 0.9 s and 60 MB peak RSS in a fresh process (2-core x86_64,
+# Python 3.11.7, numpy 2.4.6; median of 5)
 MAX_MATRIX_SIZE = 32
 
 
@@ -127,12 +127,24 @@ def _units(n, i, j):
     return out
 
 
+@lru_cache(maxsize=128)
+def upper_pairs(n, k=0):
+    """np.triu_indices(n, k), the index pairs (i, j) with j >= i + k row by
+    row, as two read-only intp arrays built once per (n, k).  The callers
+    ask for n <= MAX_MATRIX_SIZE and k in (0, 1): at most 66 keys of at
+    most 2 x 528 entries (8.4 KB) each."""
+    pairs = np.triu_indices(n, k)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 @lru_cache(maxsize=64)
 def gl_borel(n):
     """The Borel of gl_n, the matrix units E_ij with i <= j row by row, as
     one read-only int64 (m, n, n) array: make_algebra("gl", n) and the flag
     oracle's product and Levi Borels read it."""
-    units = _units(n, *np.triu_indices(n))
+    units = _units(n, *upper_pairs(n))
     units.flags.writeable = False
     return units
 
@@ -176,7 +188,7 @@ def make_algebra(tag, n):
         diag = _units(n, d, d)
         diag[d, d + 1, d + 1] = -1
         basis = np.concatenate([_units(n, i[i != j], j[i != j]), diag])
-        borel = np.concatenate([_units(n, *np.triu_indices(n, 1)), diag])
+        borel = np.concatenate([_units(n, *upper_pairs(n, 1)), diag])
         rank = n - 1
     elif tag == "so":
         if n < 3:
@@ -273,7 +285,7 @@ def _square_ops(x, symmetric):
     e_a (x) e_b, and e_c (x) e_d maps to e_c e_d = e_d e_c, or to
     e_c ^ e_d = -e_d ^ e_c (zero for c = d)."""
     n = x.shape[-1]
-    a, b = np.triu_indices(n, 0 if symmetric else 1)
+    a, b = upper_pairs(n, 0 if symmetric else 1)
     one = np.eye(n, dtype=np.int64)
     fold = np.zeros((len(a), n * n), dtype=np.int64)
     fold[np.arange(len(a)), b * n + a] = 1 if symmetric else -1

@@ -54,14 +54,17 @@ the point an up-front draw would give it, and a call that stops at
 sample i draws i + 1 points.  The Borel basis enters as one read-only
 int64 (m, n, n) array: an algebra's own borel_basis, algebras.gl_borel(n),
 built once per n, or a row selection of it for a Levi; a bare Borel
-basis is read with np.asarray.  On a flag, _flag_residues conjugates it
-by the sample's point: g^-1 y g = L^-1 (y L) for the whole
-Borel basis is one (m, n, dmax) array, L^-1 is applied by forward
-substitution, and the rows are gathered at the chart coordinates, the
-entries of g^-1 y g that must vanish, so the flag gives dim G/P rows.
-Mod MOD_PRIME every product is a box-sized entry of L
-times a residue (no int64 overflow at n <= MAX_MATRIX_SIZE, asserted
-below); the same steps over Python ints give the exact rows.  A Yes or an
+basis is read with np.asarray; a Levi's row selection and a flag's chart
+coordinates are built once per shape and cached.  On a flag,
+_flag_residues conjugates the basis by the sample's point: g^-1 y g =
+L^-1 (y L) for the whole Borel basis is one (n, m, dmax) array, L^-1 is
+applied one diagonal block at a time (L is the identity inside each
+block, so k blocks take k - 1 matmul steps), and the rows are gathered at
+the chart coordinates, the entries of g^-1 y g that must vanish, so the
+flag gives dim G/P rows.  Mod MOD_PRIME every product is a box-sized
+entry of L times a residue, and a step adds at most n - 1 of them to a
+residue (no int64 overflow at n <= MAX_MATRIX_SIZE, asserted below); the
+same steps over Python ints give the exact rows.  A Yes or an
 early stop at the first sample pays for that sample's residues alone (and
 R, for a stop, unless cached).  Exact integers appear in three places
 only: R's echelon form, the point g, g^-1 of a Yes certificate, formed
@@ -89,6 +92,7 @@ from .algebras import (
     check_matrix_size,
     gl_borel,
     representation,
+    upper_pairs,
 )
 from .errors import (
     BadParameter,
@@ -106,7 +110,8 @@ MAX_SAMPLES = 1000
 # int64 cells of the residue arrays of one call, summed over its samples
 # (64 MB); the scan forms them one sample at a time, so this bounds work
 MAX_CELLS = 2**23
-# _flag_residues sums n <= MAX_MATRIX_SIZE residues times entries of L
+# a block step of _flag_residues adds at most n - 1 products of an entry
+# of L and a residue to a residue, n <= MAX_MATRIX_SIZE
 assert MAX_MATRIX_SIZE * COEFF_BOX * MOD_PRIME < 2**63
 
 
@@ -116,12 +121,16 @@ def _check_cells(cells):
 
 
 def _check_draws(samples, seed):
+    """The sample count, read with operator.index (a float, Fraction or str
+    raises TypeError), after the checks on it and on the seed."""
+    samples = index(samples)
     if samples < 1:
         raise BadSampleCount("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise TooLarge("samples must be <= %d" % MAX_SAMPLES)
     if index(seed) < 0:
         raise BadParameter("seed must be >= 0, got %d" % seed)
+    return samples
 
 
 class FlagPoint:
@@ -194,24 +203,35 @@ def sample_flag_point(flag: FlagType, rng) -> FlagPoint:
     drawn.  For k blocks an r x r minor of the constraint rows has degree
     at most k r in the drawn entries, so by Schwartz-Zippel the point
     misses the generic rank with probability at most k r / (2 box + 1)."""
-    n = flag.ambient
-    chart = _chart_index(n, flag.dims)
-    lower = np.eye(n, dtype=np.int64)
+    chart = _chart(flag.ambient, flag.dims)[0]
+    lower = _identity(flag.ambient).copy()
     lower.flat[chart] = rng.integers(-COEFF_BOX, COEFF_BOX + 1, size=len(chart))
     return FlagPoint(flag, lower)
 
 
-@lru_cache(maxsize=4096)
-def _chart_index(n, dims):
-    """Flat indices of the chart entries of an n x n matrix, row by row:
-    (i, j) with j below the last step d <= i, that is, below the diagonal
-    blocks cut by the steps.  The same entries of g^-1 y g are the ones
-    the constraint rows read."""
+@lru_cache(maxsize=64)
+def _identity(n):
+    """The read-only int64 identity of size n, copied by every point."""
+    one = np.eye(n, dtype=np.int64)
+    one.flags.writeable = False
+    return one
+
+
+@lru_cache(maxsize=1024)
+def _chart(n, dims):
+    """The chart entries of an n x n matrix, row by row: (i, j) with j
+    below the last step d <= i, that is, below the diagonal blocks cut by
+    the steps, as three read-only intp arrays: the flat indices i n + j,
+    the rows i and the columns j.  The same entries of g^-1 y g are the
+    ones the constraint rows read.  An entry holds at most 3 x 496 intp
+    (12 KB, the full flag at n = MAX_MATRIX_SIZE), so the cache at most
+    12 MB."""
     cuts = [max((d for d in dims if d <= i), default=0) for i in range(n)]
-    chart = np.array(
-        [i * n + j for i in range(n) for j in range(cuts[i])], dtype=np.intp
-    )
-    chart.flags.writeable = False
+    rows = np.repeat(np.arange(n, dtype=np.intp), cuts)
+    cols = np.concatenate([np.arange(c, dtype=np.intp) for c in cuts])
+    chart = (rows * n + cols, rows, cols)
+    for a in chart:
+        a.flags.writeable = False
     return chart
 
 
@@ -223,28 +243,36 @@ def _flag_residues(borel, x, p=MOD_PRIME):
     One row per chart coordinate, row by row.  Entry (c, b) is the chart
     entry c of g^-1 y_b g = L^-1 (y_b L).  y fixes the flag iff every chart
     entry vanishes, so the kernel is the stabilizer and the rank the orbit
-    dimension.  Mod p every product taken is a residue times an entry of
-    L, so it stays in int64 while n * COEFF_BOX * p < 2^63.  For the exact
-    rows the same steps run over Python ints: entries of L^-1 pass 2^63.
+    dimension.  Only the columns k < dims[-1] of y L are formed (below the
+    diagonal, L is zero in the columns of the last block), and L^-1 is
+    applied one block at a time: L is the identity inside each diagonal
+    block, so the rows of block [lo, d) are final once the blocks above
+    have been subtracted, and one matmul subtracts L[d:, lo:d] times them
+    from every row below.  Mod p each entry gains at most n - 1 products
+    of an entry of L and a residue, so it stays in int64 while
+    n * COEFF_BOX * p < 2^63.  For the exact rows the same steps run over
+    Python ints: entries of L^-1 pass 2^63.
     """
     n = x.ambient
-    rr, kk = np.divmod(_chart_index(n, x.dims), n)
+    _, rr, kk = _chart(n, x.dims)
     lower = x.lower
     if p is None:
         borel, lower = borel.astype(object), lower.astype(object)
     else:
         borel = borel % p
-    hi = x.dims[-1]
-    # Columns k < hi of y L, then L^-1 by forward substitution: L is zero
-    # below the diagonal in columns j >= hi (the last block).
-    a = np.matmul(borel, lower[:, :hi])
+    # a[r, b, k] = (y_b L)[r, k], rows first: a step is one matmul on the
+    # (n, m hi) view flat
+    a = np.matmul(borel.transpose(1, 0, 2), lower[:, : x.dims[-1]])
     if p is not None:
         a %= p
-    for j in range(hi):
-        a[:, j + 1 :] -= lower[j + 1 :, j, None] * a[:, j, None]
+    flat = a.reshape(n, -1)
+    lo = 0
+    for d in x.dims:
+        flat[d:] -= np.matmul(lower[d:, lo:d], flat[lo:d])
         if p is not None:
-            a[:, j + 1 :] %= p
-    return a[:, rr, kk].T
+            flat[d:] %= p
+        lo = d
+    return a[rr, :, kk]
 
 
 def _borel_array(k, n):
@@ -347,7 +375,7 @@ def is_spherical_flag(
     """Open-Borel-orbit test on the flag variety of `flag`: the Borel of k
     (an algebra or a bare Borel basis) acting on C^n, n the flag's
     ambient.  Every check comes before the first draw."""
-    _check_draws(samples, seed)
+    samples = _check_draws(samples, seed)
     n = flag.ambient
     check_matrix_size(n)
     borel = _borel_array(k, n)
@@ -375,9 +403,11 @@ def is_spherical_module(
 
     k is either a list of factors with a ModuleSpec, or an already-built
     representation algebra (spec omitted)."""
-    _check_draws(samples, seed)
+    samples = _check_draws(samples, seed)
     if isinstance(k, CatalogAlgebra) and spec is None:
         rep = k
+    elif spec is None:
+        raise BadParameter("a module of factors needs a ModuleSpec, got none")
     else:
         factors = [k] if isinstance(k, CatalogAlgebra) else list(k)
         for f in factors:
@@ -409,12 +439,23 @@ def is_spherical_module(
 
 def levi_borel(n, flag: FlagType):
     """Borel of the block-diagonal Levi cut out by the steps of a flag: the
-    units E_ij of gl_borel(n) with i and j in one block, in its order."""
+    units E_ij of gl_borel(n) with i and j in one block, in its order, as a
+    fresh array."""
     if flag.ambient != n:
         raise DimensionMismatch("flag ambient does not match n")
-    block = np.repeat(np.arange(len(flag.steps)), flag.steps)
-    i, j = np.triu_indices(n)
-    return gl_borel(n)[block[i] == block[j]]
+    return gl_borel(n)[_levi_rows(n, flag.steps)]
+
+
+@lru_cache(maxsize=1024)
+def _levi_rows(n, steps):
+    """The positions in gl_borel(n) of the units inside one block of the
+    steps, as a read-only intp array: at most 528 entries (4.2 KB) at n =
+    MAX_MATRIX_SIZE, so the cache at most 4.3 MB."""
+    block = np.repeat(np.arange(len(steps)), steps)
+    i, j = upper_pairs(n)
+    rows = np.flatnonzero(block[i] == block[j])
+    rows.flags.writeable = False
+    return rows
 
 
 def _levi_borel_dim(flag: FlagType):
@@ -426,7 +467,7 @@ def _levi_verdict(g_n, f1, f2, samples, seed):
     """The scan of f1 under the Borel of f2's Levi.  The checks keep the
     order of the other flag entry points: samples and seed, both ambients,
     the size bound, and only then the Levi Borel is built."""
-    _check_draws(samples, seed)
+    samples = _check_draws(samples, seed)
     if f1.ambient != g_n or f2.ambient != g_n:
         raise DimensionMismatch("flag ambients must equal %d" % g_n)
     check_matrix_size(g_n)
@@ -444,8 +485,8 @@ def product_flag_complexity(
     rows over sum b (b + 1) / 2 columns, instead of both flags' rows over
     n (n + 1) / 2.  The restricting flag is the one with the smaller Levi
     Borel, f2 on a tie, and the scan runs on its partner: on criterion 3 at
-    n = 10 (samples 5, seed 99, 2 cores) this order takes 1.1 s and the
-    other 2.1 s, with the same complexities."""
+    n = 10 (samples 5, seed 99, 2 cores, median of 6) this order takes
+    0.7 s and the other 1.9 s, with the same complexities."""
     x, y = (f2, f1) if _levi_borel_dim(f1) < _levi_borel_dim(f2) else (f1, f2)
     return _levi_verdict(g_n, x, y, samples, seed).complexity
 

@@ -75,9 +75,10 @@ def rank_modp(a):
     input of any dtype has rank 0.
     """
     a = np.asarray(a)
-    if a.size and not np.issubdtype(a.dtype, np.integer):
+    if a.size and a.dtype.kind not in "iu":
         raise TypeError("modular elimination needs integer entries, not %s" % a.dtype)
-    a = np.atleast_2d(a)
+    if a.ndim < 2:
+        a = np.atleast_2d(a)
     if not a.size:
         a = np.zeros(a.shape, dtype=np.int64)
     elif a.dtype == np.uint64:

@@ -13,6 +13,7 @@ from lieclass.algebras import (
     normalizer_dim,
     representation,
     summand_scalars,
+    upper_pairs,
     _kron,
 )
 from lieclass.errors import BadParameter, TooLarge, UnrecognizedShape
@@ -53,6 +54,16 @@ class TestMakeAlgebra:
             make_algebra("sp", 5)
         with pytest.raises(BadParameter):
             make_algebra("so", 2)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_upper_pairs_are_built_once_and_read_only(self, k):
+        for n in (1, 2, 5, MAX_MATRIX_SIZE):
+            pairs = upper_pairs(n, k)
+            assert pairs is upper_pairs(n, k)
+            for got, want in zip(pairs, np.triu_indices(n, k)):
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+                with pytest.raises(ValueError):
+                    got[...] = 0
 
     @pytest.mark.parametrize("n", [2.5, 4.0, Fraction(4), "4"])
     def test_a_non_integer_size_raises(self, n):

@@ -1,4 +1,6 @@
 import itertools
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,6 +168,15 @@ class TestModuleOracle:
         with pytest.raises(TooLarge):
             is_spherical_module([make_algebra("sl", 32)],
                                 ModuleSpec([("natural", 0)]), samples=1000)
+
+    def test_factors_without_a_spec_are_a_bad_parameter(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("the representation must not be built")
+
+        monkeypatch.setattr(oracle, "representation", unbuilt)
+        for k in ([make_algebra("sp", 4)], [make_algebra("sl", 2)] * 2):
+            with pytest.raises(BadParameter, match="ModuleSpec"):
+                is_spherical_module(k)
 
 
 def _module_rows_reference(rep, with_scalar, samples, seed):
@@ -386,9 +397,9 @@ class TestRandomStream:
 
 def _conjugation_rows(borel, dims, g, g_inv):
     """Constraint rows from the full products g^-1 y g over Python ints,
-    for any invertible g: the definition that _flag_residues computes by
-    forward substitution from L.  Each entry (r, k) that must vanish, k
-    below the last step <= r, once, row by row."""
+    for any invertible g: the definition that _flag_residues computes from
+    y L by one block step of L^-1 per step of the flag.  Each entry (r, k)
+    that must vanish, k below the last step <= r, once, row by row."""
     conj = [
         linalg.matmul(linalg.matmul(g_inv, [[int(e) for e in r] for r in y]), g)
         for y in borel
@@ -519,6 +530,27 @@ class TestResidues:
         assert rows == _point_rows(lists, x)
         assert borel_orbit_dim_at(array, x) == borel_orbit_dim_at(lists, x)
         assert borel_orbit_dim_at(array, x) == rank_exact(rows)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "dims",
+        [(1,), (16,), (8, 16, 24), tuple(range(1, MAX_MATRIX_SIZE))],
+        ids=["line", "half", "three", "full"],
+    )
+    def test_box_corners_at_the_size_cap(self, dims, sign):
+        # every chart entry at +-COEFF_BOX: each block step adds the most
+        # products of one sign, and the residues still equal the
+        # definition mod p (no int64 wrap) and the exact rows equal it
+        n = MAX_MATRIX_SIZE
+        lower = np.eye(n, dtype=np.int64)
+        lower.flat[oracle._chart(n, dims)[0]] = sign * COEFF_BOX
+        x = FlagPoint(FlagType(dims, n), lower)
+        borel = gl_borel(n)[::17]
+        want = _point_rows(borel, x)
+        assert _flag_residues(borel, x, None).tolist() == want
+        assert _flag_residues(borel, x).tolist() == [
+            [e % MOD_PRIME for e in row] for row in want
+        ]
 
     def test_borel_arrays_are_built_once_and_read_only(self):
         assert gl_borel(5) is gl_borel(5)
@@ -668,18 +700,53 @@ class TestSeedValidation:
         assert a == b
 
 
+class TestSampleCount:
+    """The sample count is read with operator.index, as the seed is."""
+
+    @pytest.mark.parametrize("samples", [2.5, 5.0, Fraction(5), "5"])
+    @pytest.mark.parametrize("entry", sorted(_seeded_calls(0)))
+    def test_a_non_integer_count_is_refused_before_the_borel_is_built(
+        self, monkeypatch, entry, samples
+    ):
+        def unbuilt(*args):
+            raise AssertionError("the Borel must not be built")
+
+        for name in ("levi_borel", "_borel_array", "representation", "_scan"):
+            monkeypatch.setattr(oracle, name, unbuilt)
+        with pytest.raises(TypeError):
+            _seeded_calls(0, samples=samples)[entry]()
+
+    @pytest.mark.parametrize("entry", sorted(_seeded_calls(0)))
+    def test_a_numpy_count_is_its_integer(self, monkeypatch, entry):
+        seen, scan = [], oracle._scan
+
+        def spy(*args):
+            verdict = scan(*args)
+            seen.append(verdict.samples)
+            return verdict
+
+        monkeypatch.setattr(oracle, "_scan", spy)
+        _seeded_calls(0, samples=np.int64(3))[entry]()
+        assert seen == [3] and type(seen[0]) is int
+
+
 class TestLeviBorel:
     def test_blocks_are_the_steps(self):
-        # reference: the block of index i is the number of dims <= i
-        for n in range(2, 7):
+        # reference: the block of index i is the number of dims <= i; every
+        # composition of n <= 8, so a selection cached under a key that
+        # forgets the steps is caught
+        for n in range(2, 9):
+            i, j = np.triu_indices(n)
             for length in range(1, n):
                 for dims in itertools.combinations(range(1, n), length):
                     flag = FlagType(dims, n)
                     block = np.searchsorted(dims, np.arange(n), side="right")
-                    i, j = np.triu_indices(n)
                     want = gl_borel(n)[block[i] == block[j]]
-                    got = levi_borel(n, flag)
+                    got, again = levi_borel(n, flag), levi_borel(n, flag)
                     assert np.array_equal(got, want), dims
+                    assert np.array_equal(again, want), dims
+                    assert got is not again and not np.shares_memory(got, again)
+                    assert got.flags.writeable and again.flags.writeable
                     assert len(got) == oracle._levi_borel_dim(flag), dims
 
 
@@ -1100,3 +1167,35 @@ class TestMaxRank:
         full = FlagType((1, 2, 3), 4)
         v = is_spherical_flag(levi_borel(4, full), full, 5, 2)
         assert not v and asked == [True]
+
+
+# one datum algebra per ambient for the sweep beyond tier-1
+_RESIDUE_DATA = {
+    8: ClassificationDatum((1,), [("sp", 4), ("sl", 3)], 1),
+    9: ClassificationDatum((1,), [("so", 5), ("sl", 4)]),
+    10: ClassificationDatum((1,), [("sp", 6), ("so", 3)], 1),
+}
+
+
+@pytest.mark.ci
+def test_residues_match_the_definition_beyond_tier_1():
+    # every flag of one, two or three steps at n = 8, 9, 10, under gl_n's
+    # Borel and a datum algebra's: both modes of _flag_residues against
+    # the full conjugation g^-1 y g
+    start = time.perf_counter()
+    rng = np.random.default_rng(38)
+    checked = 0
+    for n, datum in _RESIDUE_DATA.items():
+        borels = [gl_borel(n), datum_algebra(datum).borel_basis]
+        for length in (1, 2, 3):
+            for dims in itertools.combinations(range(1, n), length):
+                x = sample_flag_point(FlagType(dims, n), rng)
+                for borel in borels:
+                    want = _point_rows(borel, x)
+                    assert _flag_residues(borel, x, None).tolist() == want, dims
+                    assert _flag_residues(borel, x).tolist() == [
+                        [e % MOD_PRIME for e in row] for row in want
+                    ], dims
+                    checked += 1
+    assert checked == 2 * (63 + 92 + 129)
+    assert time.perf_counter() - start < 60
