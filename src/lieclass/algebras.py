@@ -207,25 +207,6 @@ def make_algebra(tag, n):
     )
 
 
-def direct_sum(a: CatalogAlgebra, b: CatalogAlgebra) -> CatalogAlgebra:
-    n = a.n + b.n
-
-    def blocks(x, y):
-        out = np.zeros((len(x) + len(y), n, n), dtype=np.int64)
-        out[: len(x), : a.n, : a.n] = x
-        out[len(x) :, a.n :, a.n :] = y
-        return out
-
-    meta = {
-        "type": "sum",
-        "rank": a.meta["rank"] + b.meta["rank"],
-        "factors": a.meta["factors"] + b.meta["factors"],
-    }
-    return CatalogAlgebra(
-        blocks(a.basis, b.basis), blocks(a.borel_basis, b.borel_basis), n, meta
-    )
-
-
 # --- module construction -------------------------------------------------
 
 def _norm_summand(s):
@@ -456,7 +437,8 @@ def normalizer_dim(k_basis, extra_center=(), n=None):
 
     Generators are n x n integer matrices, lists or arrays; n, when not
     given, is the size of the first.  MismatchedSize is raised for one of
-    another size, and BadParameter when there are none and no n."""
+    another size, and BadParameter when there are none and no n.  At n = 0
+    the zero span of gl_0 is its own normalizer: NormalizerDim(0, 0)."""
     mats = list(k_basis) + list(extra_center)
     if n is None and mats:
         n = len(mats[0])
@@ -464,6 +446,8 @@ def normalizer_dim(k_basis, extra_center=(), n=None):
         raise BadParameter("the normalizer of no operators needs the size n")
     if any(np.shape(m) != (n, n) for m in mats):
         raise MismatchedSize("operator of another size than %d x %d" % (n, n))
+    if n == 0:
+        return NormalizerDim(0, 0)
     s = _int64(mats).reshape(len(mats), n, n)
     ann = _annihilator(s)
     if 2 * n * _magnitude(ann) * _magnitude(s) >= 2**63:

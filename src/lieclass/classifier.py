@@ -13,8 +13,12 @@ purely combinatorially:
     multi-step case lists with their literal parameter guards.
 
 "Spherical" here means spherical for the factors extended by the best
-possible central torus; datum_algebra builds the matching matrix model so
-the Monte Carlo oracle probes exactly the same group.
+possible central torus, the scalars of every summand.  The datum's module
+(_natural_module: the factors' naturals, then the trivial lines) is stated
+once: the P(V) question asks the table about it, and datum_algebra builds
+its matrix model through algebras.representation, the block-diagonal group
+K with each summand's scalar, so the Monte Carlo oracle probes exactly the
+group the verdict speaks about.
 """
 
 from __future__ import annotations
@@ -203,19 +207,25 @@ def _match(cases, d, parts, prefix=""):
     return ClassificationVerdict(False, reason="absent-from-list")
 
 
+def _natural_module(count, trivial):
+    """The module of a datum with `count` factors: each factor on its
+    natural summand, in order, then `trivial` trivial lines."""
+    from .algebras import ModuleSpec
+
+    return ModuleSpec([("natural", i) for i in range(count)] + [("trivial",)] * trivial)
+
+
 @lru_cache(maxsize=1024)
 def _projective_spherical(factors, trivial) -> bool:
-    """The module table's answer for the natural summands of the factors
-    plus `trivial` trivial ones, with every per-summand scalar adjoined.
-    P(V) and P(V*) of one datum ask the same question, so it is asked once
-    per (factors, trivial) of a validated datum, as given."""
-    from .algebras import ModuleSpec, make_algebra
+    """The module table's answer for the datum's module, with every
+    per-summand scalar adjoined.  P(V) and P(V*) of one datum ask the same
+    question, so it is asked once per (factors, trivial) of a validated
+    datum, as given."""
+    from .algebras import make_algebra
     from .sphericaltable import is_spherical_module_by_table
 
     algs = [make_algebra(tag, size) for tag, size in factors]
-    summands = [("natural", i) for i in range(len(algs))]
-    summands += [("trivial",)] * trivial
-    spec = ModuleSpec(summands)
+    spec = _natural_module(len(factors), trivial)
     return bool(is_spherical_module_by_table(algs, spec, centers="summands"))
 
 
@@ -273,36 +283,30 @@ def product_flags_spherical(steps1, steps2) -> bool:
     return False
 
 
-def _adjoin_scalar(alg: CatalogAlgebra) -> CatalogAlgebra:
+def datum_algebra(d: ClassificationDatum) -> CatalogAlgebra:
+    """Matrix model of the group the verdict speaks about: the datum's
+    module as a representation, each sl(s) factor taken as gl(s), with the
+    scalar of every summand that has none yet (an so or sp natural, a
+    trivial line) appended to the basis and to the Borel."""
     import numpy as np
 
-    from .algebras import CatalogAlgebra
+    from .algebras import CatalogAlgebra, make_algebra, representation, summand_scalars
 
-    ident = np.eye(alg.n, dtype=np.int64)[None]
-    return CatalogAlgebra(
-        np.concatenate([alg.basis, ident]),
-        np.concatenate([alg.borel_basis, ident]),
-        alg.n,
-        dict(alg.meta, type=alg.meta["type"] + "+c"),
+    spec = _natural_module(len(d.factors), d.trivial)
+    k = representation(
+        [make_algebra("gl" if tag == "sl" else tag, size) for tag, size in d.factors],
+        spec,
     )
-
-
-def datum_algebra(d: ClassificationDatum) -> CatalogAlgebra:
-    """Matrix model of the factors extended by all per-summand scalars; the
-    group the classification verdict speaks about."""
-    from .algebras import direct_sum, make_algebra
-
-    blocks = []
-    for tag, size in d.factors:
-        if tag == "sl":
-            blocks.append(make_algebra("gl", size))
-        else:
-            blocks.append(_adjoin_scalar(make_algebra(tag, size)))
-    blocks += [make_algebra("gl", 1)] * d.trivial
-    k = blocks[0]
-    for b in blocks[1:]:
-        k = direct_sum(k, b)
-    return k
+    tags = [tag for tag, _ in d.factors] + ["trivial"] * d.trivial
+    sizes = [size for _, size in d.factors]
+    scalars = [z for tag, z in zip(tags, summand_scalars(spec, sizes)) if tag != "sl"]
+    scalars = np.array(scalars, dtype=np.int64).reshape(-1, k.n, k.n)
+    return CatalogAlgebra(
+        np.concatenate([k.basis, scalars]),
+        np.concatenate([k.borel_basis, scalars]),
+        k.n,
+        dict(k.meta, rank=k.meta["rank"] + len(scalars)),
+    )
 
 
 def bounded_subalgebra_sl(k, spec: ModuleSpec, samples=5, seed=0) -> bool:

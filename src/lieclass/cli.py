@@ -17,7 +17,6 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .errors import (
     LieclassError,
@@ -38,6 +37,8 @@ MAX_TUPLE_LENGTH = 100
 
 
 def parse_fraction(text):
+    from fractions import Fraction
+
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     try:

@@ -29,7 +29,6 @@ from .errors import (
     NotShaleWeil,
     TupleTooShort,
 )
-from .quivers import QuiverSpec, count_P
 from .tuples import (
     as_tuple,
     classify_tuple,
@@ -107,6 +106,8 @@ def is_joseph_sp(entries) -> bool:
 
 
 def bounded_count_sl(entries, w_kind, n_v) -> int:
+    from .quivers import QuiverSpec, count_P
+
     t = as_tuple(entries)
     if w_kind == "wedge2":
         if n_v % 2:

@@ -411,7 +411,7 @@ def is_spherical_module(
     else:
         factors = [k] if isinstance(k, CatalogAlgebra) else list(k)
         for f in factors:
-            if f.meta["type"] not in ("gl", "sl", "so", "sp", "sum", "rep"):
+            if f.meta["type"] not in ("gl", "sl", "so", "sp", "rep"):
                 raise NoMatrixModel(
                     "no matrix model for factor type %r" % (f.meta["type"],)
                 )

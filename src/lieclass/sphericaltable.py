@@ -15,7 +15,7 @@ E6 and the triality of so_8 have no matrix constructors and are not matched
 as such, though a spin module can arise from a ModuleSpec: sp(4) on C4 is
 the spin module of so(5) = sp(4), and matches i-3.  Two low-rank
 isomorphisms are not matched, so their blocks read "block not in table"
-while the oracle proves both spherical (open, ROADMAP.md direction 3):
+while the oracle proves both spherical (open, ROADMAP.md direction 5):
 wedge2 of sl(3) = C3* beside another summand (sl(3) on C3+wedge2 is iii-3's
 C3+C3*), and wedge2 of so(3) = C3, the adjoint (so(3) on wedge2).
 """

@@ -8,7 +8,6 @@ from lieclass.algebras import (
     MAX_MATRIX_SIZE,
     CatalogAlgebra,
     ModuleSpec,
-    direct_sum,
     make_algebra,
     normalizer_dim,
     representation,
@@ -75,7 +74,10 @@ class TestMakeAlgebra:
         assert type(k.n) is int and k.meta["factors"] == (("sp", 4),)
 
     def test_direct_sum(self):
-        k = direct_sum(make_algebra("sl", 2), make_algebra("sp", 4))
+        k = representation(
+            [make_algebra("sl", 2), make_algebra("sp", 4)],
+            ModuleSpec([("natural", 0), ("natural", 1)]),
+        )
         assert k.n == 6
         assert k.dim == 3 + 10
         assert k.check_closed()

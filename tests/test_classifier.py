@@ -16,6 +16,7 @@ from lieclass.classifier import (
 from lieclass.errors import (
     BadParameter,
     MismatchedSize,
+    TooLarge,
     UnsupportedShape,
 )
 from lieclass.oracle import is_spherical_flag
@@ -241,6 +242,56 @@ class TestBoundedSubalgebra:
         )
 
 
+def _criterion_1_groups(ns):
+    """(factors, trivial) of every criterion-1 datum with n in ns."""
+    from test_acceptance import small_data
+
+    return {(d.factors, d.trivial) for d in small_data(ns)}
+
+
+def _block_reference(d):
+    """The group a datum speaks about, placed block by block: gl(s) for
+    sl(s), so(s) or sp(s) plus the identity, gl(1) per trivial line.
+    Returns n and the sorted bytes of the basis and of the Borel
+    matrices."""
+    blocks = []
+    for tag, size in d.factors:
+        k = make_algebra("gl" if tag == "sl" else tag, size)
+        extra = [] if tag == "sl" else [np.eye(size, dtype=np.int64)]
+        blocks.append((size, list(k.basis) + extra, list(k.borel_basis) + extra))
+    one = [np.ones((1, 1), dtype=np.int64)]
+    blocks += [(1, one, one)] * d.trivial
+    n = sum(size for size, _, _ in blocks)
+    basis, borel, lo = [], [], 0
+    for size, block_basis, block_borel in blocks:
+        for mats, out in ((block_basis, basis), (block_borel, borel)):
+            for m in mats:
+                big = np.zeros((n, n), dtype=np.int64)
+                big[lo : lo + size, lo : lo + size] = m
+                out.append(big.tobytes())
+        lo += size
+    return n, sorted(basis), sorted(borel)
+
+
+def assert_matches_block_reference(d):
+    k = datum_algebra(d)
+    got = (
+        k.n,
+        sorted(m.tobytes() for m in k.basis),
+        sorted(m.tobytes() for m in k.borel_basis),
+    )
+    assert got == _block_reference(d), d
+    assert k.check_closed(), d
+
+
+@pytest.mark.ci
+def test_datum_algebra_matches_the_block_reference_n9_n10():
+    groups = _criterion_1_groups([9, 10])
+    for factors, trivial in groups:
+        assert_matches_block_reference(ClassificationDatum((1,), factors, trivial))
+    assert len(groups) == 94
+
+
 class TestDatumAlgebra:
     def test_blocks_and_centers(self):
         d = ClassificationDatum((2,), [("sp", 4), ("sl", 3)])
@@ -248,6 +299,16 @@ class TestDatumAlgebra:
         assert k.n == 7
         assert k.dim == (10 + 1) + 9  # sp4 + scalar, gl3
         assert k.check_closed()
+
+    def test_matches_the_block_reference(self):
+        groups = _criterion_1_groups(range(2, 9))
+        for factors, trivial in groups:
+            assert_matches_block_reference(ClassificationDatum((1,), factors, trivial))
+        assert len(groups) == 92
+
+    def test_four_sl32_factors_are_too_large(self):
+        with pytest.raises(TooLarge):
+            datum_algebra(ClassificationDatum((1,), [("sl", 32)] * 4))
 
     def test_matches_oracle_on_examples(self):
         spherical = ClassificationDatum((2,), [("sp", 4), ("sl", 3)])

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -124,6 +125,16 @@ class TestImports:
         )
         assert out.split() == []
 
+    def test_odd_pair_question_loads_no_quivers(self):
+        out = python_child(
+            "import io, sys\n"
+            "from lieclass.cli import run\n"
+            "assert run(['odd-pair', '5/2,3/2,1/2'], out=io.StringIO()) == 0\n"
+            "print(' '.join(m for m in ('lieclass.quivers', 'lieclass.cyclotomic', "
+            "'lieclass.linalg') if m in sys.modules))\n"
+        )
+        assert out.split() == []
+
 
 class TestExitCodes:
     def test_input_error_is_2(self):
@@ -165,6 +176,15 @@ class TestExitCodes:
             ["table", "--k", "so(5) on C5", "--centers", "summands", "--no-scalar"]
         )
         assert code == 2 and text.startswith("error:")
+
+    @pytest.mark.parametrize("centers", ["entries", "summands"])
+    @pytest.mark.parametrize("factor", ["sl(1)", "gl(1)"])
+    def test_zero_dimensional_module_is_answered(self, factor, centers):
+        k = factor + " on wedge2"
+        code, text = run_capture(["table", "--k", k, "--centers", centers])
+        assert (code, text) == (
+            0, "k: %s\ncenters: %s\nspherical: yes\n" % (k, centers)
+        )
 
     def test_dims_on_a_module_question_is_2(self):
         code, text = run_capture(["oracle", "--k", "sl(3) on C3", "--dims", "1"])
@@ -258,6 +278,60 @@ class TestExitCodes:
         code, _ = run_capture(argv)
         assert code == 0
         assert time.perf_counter() - start < 1.0
+
+
+# Module questions "<factors> on <module>": one factor and one module from
+# these, and beyond tier-1 two of each, joined with "+".
+SWEEP_FACTORS = ("sl(1)", "sl(2)", "sl(3)", "so(3)", "so(4)", "sp(2)", "sp(4)",
+                 "gl(1)", "gl(2)")
+SWEEP_MODULES = ("C1", "C2", "C3", "C4", "C2*", "C3*", "wedge2", "sym2", "C2xC2",
+                 "C2xC3", "C1xC2", "C1+C1", "C2+C2", "C3+wedge2")
+
+
+def module_questions(counts):
+    for count in counts:
+        for factors, modules in itertools.product(
+            itertools.product(SWEEP_FACTORS, repeat=count),
+            itertools.product(SWEEP_MODULES, repeat=count),
+        ):
+            yield "%s on %s" % ("+".join(factors), "+".join(modules))
+
+
+def table_oracle_sweep(questions):
+    """Each question asked of the table in both center modes and of the
+    oracle: the number answered by all three (exit 0), the number refused
+    by all three, and the questions on which they differ.  Every exit must
+    be 0, 2 or 3."""
+    answered = refused = 0
+    mismatched = []
+    for k in questions:
+        codes = [
+            run_capture(argv)[0]
+            for argv in (
+                ["table", "--k", k, "--centers", "entries"],
+                ["table", "--k", k, "--centers", "summands"],
+                ["oracle", "--k", k, "--samples", "2", "--seed", "0"],
+            )
+        ]
+        assert set(codes) <= {0, 2, 3}, (k, codes)
+        if codes.count(0) == 3:
+            answered += 1
+        elif 0 not in codes:
+            refused += 1
+        else:
+            mismatched.append((k, codes))
+    return answered, refused, mismatched
+
+
+def test_table_answers_every_module_question_the_oracle_answers():
+    assert table_oracle_sweep(module_questions([1])) == (56, 70, [])
+
+
+@pytest.mark.ci
+def test_table_answers_every_module_question_the_oracle_answers_two_factors():
+    start = time.perf_counter()
+    assert table_oracle_sweep(module_questions([1, 2])) == (3044, 12958, [])
+    assert time.perf_counter() - start < 120
 
 
 class TestSeedEnv:

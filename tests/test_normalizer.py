@@ -198,6 +198,11 @@ class TestAgainstReferenceRows:
         assert_matches_reference([], 3)
         assert_annihilator_is_nullspace([], 3)
 
+    def test_zero_dimensional_space(self):
+        """The zero span of gl_0 is its own normalizer."""
+        dim = normalizer_dim([], (), 0)
+        assert (dim, dim.span_dim) == (0, 0)
+
     def test_whole_of_gl(self):
         mats = make_algebra("gl", 3).basis.tolist()
         assert normalizer_dim(mats) == normalizer_dim(mats).span_dim == 9

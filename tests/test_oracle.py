@@ -10,14 +10,19 @@ from lieclass.algebras import (
     MAX_MATRIX_SIZE,
     CatalogAlgebra,
     ModuleSpec,
-    direct_sum,
     gl_borel,
     make_algebra,
     representation,
 )
 from lieclass.classifier import ClassificationDatum, datum_algebra
 from lieclass.cli import parse_algebra_module
-from lieclass.errors import BadParameter, BadSampleCount, DimensionMismatch, TooLarge
+from lieclass.errors import (
+    BadParameter,
+    BadSampleCount,
+    DimensionMismatch,
+    NoMatrixModel,
+    TooLarge,
+)
 from lieclass.oracle import (
     COEFF_BOX,
     FlagPoint,
@@ -177,6 +182,17 @@ class TestModuleOracle:
         for k in ([make_algebra("sp", 4)], [make_algebra("sl", 2)] * 2):
             with pytest.raises(BadParameter, match="ModuleSpec"):
                 is_spherical_module(k)
+
+    def test_a_factor_without_a_matrix_model_is_refused_unbuilt(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("the representation must not be built")
+
+        monkeypatch.setattr(oracle, "representation", unbuilt)
+        sl2 = make_algebra("sl", 2)
+        alien = CatalogAlgebra(sl2.basis, sl2.borel_basis, 2, {"type": "e8"})
+        spec = ModuleSpec([("natural", 0), ("natural", 1)])
+        with pytest.raises(NoMatrixModel, match="'e8'"):
+            is_spherical_module([sl2, alien], spec)
 
 
 def _module_rows_reference(rep, with_scalar, samples, seed):
@@ -559,7 +575,6 @@ class TestResidues:
         factors = [make_algebra("sl", 2), make_algebra("sp", 4)]
         builders = [make_algebra(tag, 4) for tag in ("gl", "sl", "so", "sp")]
         builders += [
-            direct_sum(*factors),
             representation(factors, spec),
             datum_algebra(ClassificationDatum((1,), [("so", 3), ("sl", 2)], 1)),
         ]
